@@ -6,10 +6,9 @@
  * emission) lives in core::ExperimentContext, owned by the
  * core::ExperimentRegistry: each TU here defines a body
  * `int run(core::ExperimentContext &b)` and registers it with
- * CELLBW_REGISTER_EXPERIMENT.  The `cellbw` driver and the legacy
- * per-figure shim binaries both execute registered experiments through
- * core::runExperimentCli(), which is what keeps their output
- * byte-identical.
+ * CELLBW_REGISTER_EXPERIMENT.  The `cellbw` driver is the one binary
+ * that runs them: `cellbw run <name>` goes through
+ * core::runExperimentCli().
  *
  * Bodies print through the context (b.print / b.printf), never
  * directly to stdout, so `cellbw suite` can run them quietly.

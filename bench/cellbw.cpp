@@ -3,8 +3,8 @@
  * The `cellbw` driver: every experiment in the repo behind one binary.
  *
  *   cellbw list                        enumerate registered experiments
- *   cellbw run <name> [flags...]       run one (same CLI as the legacy
- *                                      per-figure binary)
+ *   cellbw run <name> [flags...]       run one (`cellbw run <name>
+ *                                      --help` lists its flags)
  *   cellbw suite [manifest] [opts]     run a manifest through a shared
  *                                      worker pool + result cache
  *   cellbw compare <cand> <base> [opts]
@@ -16,11 +16,12 @@
  *                                      over the same registry, pool,
  *                                      and result cache
  *
- * `run` and the legacy binaries share core::runExperimentCli(), so
- * `cellbw run fig08_spe_mem --quick` is byte-identical to
- * `fig08_spe_mem --quick`.
+ * `run` is core::runExperimentCli(); `suite`, `validate` and `serve`
+ * run the same experiment bodies on a shared pool, so their reports
+ * are byte-identical to `cellbw run --json`.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,10 +54,9 @@ usage(std::FILE *to)
         "(optionally only\n"
         "                               those of one backend: sim, "
         "native)\n"
-        "  run <name> [flags...]        run one experiment (flags as "
-        "the legacy binary;\n"
-        "                               try `cellbw run <name> "
-        "--help`)\n"
+        "  run <name> [flags...]        run one experiment (try "
+        "`cellbw run <name>\n"
+        "                               --help` for its flags)\n"
         "  suite [manifest] [options]   run a suite of experiments\n"
         "    manifest                   `ci` (all experiments, default)"
         " or a file of\n"
@@ -147,6 +147,26 @@ parseDoubleArg(const char *flag, const char *val, double &out)
     return true;
 }
 
+/** Parse a --jobs value: a non-negative integer that fits unsigned. */
+bool
+parseJobsArg(const char *val, unsigned &out)
+{
+    if (!val) {
+        std::fputs("cellbw: --jobs needs a value\n", stderr);
+        return false;
+    }
+    try {
+        const std::uint64_t v = util::parseUint64(val);
+        if (v <= UINT_MAX) {
+            out = static_cast<unsigned>(v);
+            return true;
+        }
+    } catch (const std::exception &) {
+    }
+    std::fprintf(stderr, "cellbw: bad --jobs value '%s'\n", val);
+    return false;
+}
+
 int
 cmdList(int argc, char **argv)
 {
@@ -189,7 +209,7 @@ cmdRun(int argc, char **argv)
         return 2;
     }
     // argv[0] is the experiment name and becomes the forwarded
-    // argv[0], so the flags line up exactly with the legacy binary.
+    // argv[0], which runExperimentCli() skips like a program name.
     return core::runExperimentCli(argv[0], argc,
                                   const_cast<const char *const *>(argv));
 }
@@ -202,18 +222,9 @@ cmdSuite(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--jobs") {
-            if (++i >= argc) {
-                std::fputs("cellbw: --jobs needs a value\n", stderr);
+            if (!parseJobsArg(i + 1 < argc ? argv[++i] : nullptr,
+                              spec.jobs))
                 return 2;
-            }
-            char *end = nullptr;
-            unsigned long v = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0') {
-                std::fprintf(stderr, "cellbw: bad --jobs value '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-            spec.jobs = static_cast<unsigned>(v);
         } else if (a == "--out") {
             if (++i >= argc) {
                 std::fputs("cellbw: --out needs a value\n", stderr);
@@ -264,18 +275,9 @@ cmdValidate(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--jobs") {
-            if (++i >= argc) {
-                std::fputs("cellbw: --jobs needs a value\n", stderr);
+            if (!parseJobsArg(i + 1 < argc ? argv[++i] : nullptr,
+                              spec.jobs))
                 return 2;
-            }
-            char *end = nullptr;
-            unsigned long v = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0') {
-                std::fprintf(stderr, "cellbw: bad --jobs value '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-            spec.jobs = static_cast<unsigned>(v);
         } else if (a == "--baselines") {
             if (++i >= argc) {
                 std::fputs("cellbw: --baselines needs a value\n",
@@ -493,15 +495,9 @@ cmdServe(int argc, char **argv)
                 return 2;
             }
         } else if (a == "--jobs") {
-            if (!(v = needValue("--jobs", i)))
+            if (!parseJobsArg(i + 1 < argc ? argv[++i] : nullptr,
+                              spec.jobs))
                 return 2;
-            try {
-                spec.jobs = static_cast<unsigned>(util::parseUint64(v));
-            } catch (const std::exception &) {
-                std::fprintf(stderr, "cellbw: bad --jobs value '%s'\n",
-                             v);
-                return 2;
-            }
         } else if (a == "--cache") {
             if (!(v = needValue("--cache", i)))
                 return 2;

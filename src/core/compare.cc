@@ -135,6 +135,42 @@ comparePoint(const std::string &table, std::size_t idx,
     }
 }
 
+/**
+ * Structured (histogram) metric equality: same shape, every number
+ * within @p tolPct of its baseline counterpart.
+ */
+bool
+sameWithinTol(const JsonValue &candidate, const JsonValue &baseline,
+              double tolPct)
+{
+    if (candidate.kind() != baseline.kind())
+        return false;
+    if (baseline.isNumber())
+        return withinTol(candidate.number(), baseline.number(), tolPct);
+    if (baseline.isArray()) {
+        const auto &c = candidate.array(), &b = baseline.array();
+        if (c.size() != b.size())
+            return false;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            if (!sameWithinTol(c[i], b[i], tolPct))
+                return false;
+        }
+        return true;
+    }
+    if (baseline.isObject()) {
+        const auto &c = candidate.object(), &b = baseline.object();
+        if (c.size() != b.size())
+            return false;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            if (c[i].first != b[i].first ||
+                !sameWithinTol(c[i].second, b[i].second, tolPct))
+                return false;
+        }
+        return true;
+    }
+    return candidate == baseline;
+}
+
 void
 compareMetrics(const JsonValue &candidateDoc, const JsonValue &baselineDoc,
                const ComparePolicy &policy, CompareResult &out)
@@ -145,13 +181,27 @@ compareMetrics(const JsonValue &candidateDoc, const JsonValue &baselineDoc,
     const JsonValue *cand = candidateDoc.find("metrics");
     for (const auto &m : base->object()) {
         const JsonValue *c = cand ? cand->find(m.first) : nullptr;
-        if (!c || !c->isNumber() || !m.second.isNumber()) {
+        if (!c) {
             out.regressions.push_back(util::format(
                 "metric '%s' missing from candidate",
                 m.first.c_str()));
             continue;
         }
+        if (c->kind() != m.second.kind()) {
+            out.regressions.push_back(util::format(
+                "metric '%s' changed type", m.first.c_str()));
+            continue;
+        }
         ++out.metricsCompared;
+        if (!m.second.isNumber()) {
+            if (!sameWithinTol(*c, m.second, policy.metricsTolPct)) {
+                out.regressions.push_back(util::format(
+                    "metric '%s' differs from baseline (tolerance "
+                    "%.3g%%)",
+                    m.first.c_str(), policy.metricsTolPct));
+            }
+            continue;
+        }
         if (!withinTol(c->number(), m.second.number(),
                        policy.metricsTolPct)) {
             out.regressions.push_back(util::format(

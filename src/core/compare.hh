@@ -8,7 +8,8 @@
  * topology), numeric cells must agree within a relative tolerance.  A
  * missing table, a missing row, or a missing column is a regression,
  * as is any out-of-tolerance value.  Metrics can be gated too
- * (opt-in, with their own tolerance).
+ * (opt-in, with their own tolerance); histogram metrics are compared
+ * field by field and bucket by bucket.
  *
  * Tolerances are percentages relative to the baseline value:
  * candidate c passes against baseline b iff

@@ -8,11 +8,11 @@
  * the figure header, table/CSV emission, and the closing --json report.
  * The registry (core::ExperimentRegistry) constructs one context per
  * run, parses the command line into it, and hands it to the registered
- * experiment body — the legacy per-figure binaries and `cellbw run`
- * share this exact path, which is what keeps their output
+ * experiment body — `cellbw run`, `cellbw suite` and `cellbw serve`
+ * share this exact path, which is what keeps their reports
  * byte-identical.
  *
- * On top of the legacy lifecycle the context knows about suites and
+ * On top of that lifecycle the context knows about suites and
  * the result cache: it computes the canonical cache key of its parsed
  * configuration, stamps suite/cache/backend metadata into the report,
  * can run quietly (suite mode: JSON only, no stdout), and stores its

@@ -1,7 +1,10 @@
 #include "core/experiment_registry.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 
+#include "core/worker_pool.hh"
 #include "sim/logging.hh"
 #include "util/strings.hh"
 
@@ -75,6 +78,15 @@ runExperimentCli(const std::string &name, int argc,
     ExperimentContext ctx(e->name, e->description, e->backend);
     if (!ctx.parse(argc, argv))
         return 1;
+    // One pool for the whole experiment: every point's seed sweep
+    // reuses the same warm workers.  One job runs inline, no threads.
+    std::optional<WorkerPool> pool;
+    const unsigned jobs =
+        std::min(WorkerPool::width(ctx.par.jobs), ctx.repeat.runs);
+    if (jobs > 1) {
+        pool.emplace(jobs);
+        ctx.par.pool = &*pool;
+    }
     return e->body(ctx);
 }
 

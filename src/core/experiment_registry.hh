@@ -6,8 +6,7 @@
  * backend).  Bench translation units register themselves with
  * CELLBW_REGISTER_EXPERIMENT at static-initialization time; the
  * `cellbw` driver then lists, runs, schedules, caches, and compares
- * them uniformly, and each legacy per-figure binary is a one-line shim
- * over runExperimentCli() with its experiment's name baked in.
+ * them uniformly; `cellbw run <name>` is runExperimentCli().
  *
  * The backend is the fifth, optional registration argument and
  * defaults to Backend::Sim, so sim experiments register exactly as
@@ -48,7 +47,7 @@ namespace cellbw::core
 
 struct Experiment
 {
-    /** Unique name; doubles as the legacy binary name and CLI prog. */
+    /** Unique name; doubles as the `cellbw run` argument and CLI prog. */
     std::string name;
     /** Short provenance tag for `cellbw list` ("Fig. 8", "Abl. C"). */
     std::string figure;
@@ -89,10 +88,11 @@ class ExperimentRegistry
 };
 
 /**
- * The whole legacy-main lifecycle behind one call: look up @p name,
- * build its context, parse @p argv (argv[0] is ignored), run the body.
- * @return the process exit code; unknown names and parse errors
- * (including --help, matching the legacy binaries) return 1.
+ * `cellbw run` behind one call: look up @p name, build its context,
+ * parse @p argv (argv[0] is ignored), and run the body with its seed
+ * sweeps on one WorkerPool of min(--jobs, --runs) workers (inline when
+ * that is 1).  @return the process exit code; unknown names and parse
+ * errors (including --help) return 1.
  */
 int runExperimentCli(const std::string &name, int argc,
                      const char *const *argv);

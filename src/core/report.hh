@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared reporting helpers for the bench binaries.
+ * Shared reporting helpers for the bench experiments.
  */
 
 #ifndef CELLBW_CORE_REPORT_HH

@@ -10,10 +10,11 @@
  *
  * The N runs are completely independent — each owns a private
  * CellSystem (event queue, RNG, memory model) — so repeatRuns() fans
- * them out over a worker-thread pool.  Samples are merged in seed order
- * regardless of which worker finished first, so the resulting
- * Distribution is bit-identical to a serial sweep: --jobs only changes
- * wall-clock time, never results.
+ * them out over a core::WorkerPool: the caller's shared pool when
+ * ParallelSpec::pool is set, otherwise one scoped to the call.
+ * Samples are merged in seed order regardless of which worker finished
+ * first, so the resulting Distribution is bit-identical to a serial
+ * sweep: --jobs only changes wall-clock time, never results.
  */
 
 #ifndef CELLBW_CORE_RUNNER_HH
@@ -89,22 +90,22 @@ struct ParallelSpec
 {
     /**
      * Worker threads for the seed sweep; 0 means
-     * std::thread::hardware_concurrency().  1 runs inline with no
-     * threads spawned.  Ignored when @ref pool is set.
+     * std::thread::hardware_concurrency().  With no @ref pool,
+     * repeatRuns() starts a pool of min(jobs, runs) workers for the
+     * call, or runs inline with no threads when that is 1.  Ignored
+     * when @ref pool is set.
      */
     unsigned jobs = 0;
 
     /**
-     * When set, runs are submitted to this shared pool instead of
-     * spawning per-call threads — the suite driver points every
-     * experiment here so seed-sweeps batch ACROSS experiments.  The
-     * caller blocks until its own runs complete; results stay
-     * bit-identical (merge is in seed order either way).
+     * When set, runs are submitted to this pool instead of one scoped
+     * to the call — `cellbw run` points every point of an experiment
+     * here, and `cellbw suite` every experiment, so seed sweeps reuse
+     * warm workers and batch ACROSS experiments.  The caller blocks
+     * until its own runs complete; results stay bit-identical (merge
+     * is in seed order either way).
      */
     WorkerPool *pool = nullptr;
-
-    /** The worker count actually used for @p runs repetitions. */
-    unsigned resolveJobs(unsigned runs) const;
 
     static ParallelSpec serial() { return ParallelSpec{1}; }
 };
@@ -115,10 +116,10 @@ using ExperimentBody = std::function<double(cell::CellSystem &)>;
  * Run @p body once per placement seed on a freshly constructed system
  * and collect the per-run GB/s samples.
  *
- * With @p par.jobs != 1 the runs execute concurrently, one CellSystem
- * per worker; @p body must therefore not mutate state shared between
- * invocations (all in-tree bodies only read their config and return a
- * bandwidth).  Output order is deterministic: sample i always comes
+ * Unless @p par resolves to one job the runs execute concurrently, one
+ * CellSystem per worker; @p body must therefore not mutate state
+ * shared between invocations (all in-tree bodies only read their
+ * config and return a bandwidth).  Output order is deterministic: sample i always comes
  * from seed + i.
  */
 stats::Distribution repeatRuns(const cell::CellConfig &cfg,

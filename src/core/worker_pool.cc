@@ -5,12 +5,17 @@
 namespace cellbw::core
 {
 
+unsigned
+WorkerPool::width(unsigned requested)
+{
+    if (requested == 0)
+        requested = std::thread::hardware_concurrency();
+    return requested == 0 ? 1 : requested;
+}
+
 WorkerPool::WorkerPool(unsigned workers)
 {
-    if (workers == 0)
-        workers = std::thread::hardware_concurrency();
-    if (workers == 0)
-        workers = 1;
+    workers = width(workers);
     threads_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
         threads_.emplace_back([this] { workerLoop(); });

@@ -2,15 +2,15 @@
  * @file
  * A shared worker-thread pool for seed-sweep batching.
  *
- * Before the suite driver, every bench binary spun its own transient
- * pool inside each repeatRuns() call, so a campaign of 18 binaries
- * serialized at process boundaries and never overlapped one
- * experiment's tail with the next one's head.  `cellbw suite` instead
- * runs every selected experiment against ONE WorkerPool: each
- * experiment submits its placement-seed runs here (via
+ * This is the one scheduler for placement-seed sweeps.  `cellbw suite`
+ * and `cellbw validate` run every selected experiment against ONE
+ * WorkerPool: each experiment submits its runs here (via
  * ParallelSpec::pool) and waits for its own batch, so at any moment
  * the pool's N workers are busy with whatever runs are ready,
- * regardless of which experiment they belong to.
+ * regardless of which experiment they belong to.  `cellbw run` owns
+ * one pool for its single experiment, `cellbw serve` one for the
+ * daemon, and a library call of repeatRuns() without a pool gets one
+ * scoped to that call.
  *
  * Tasks must be independent (the seed-sweep runs are: one private
  * CellSystem each) and must never submit-and-wait recursively —
@@ -44,8 +44,11 @@ namespace cellbw::core
 class WorkerPool
 {
   public:
-    /** Start @p workers threads; 0 means hardware_concurrency(). */
+    /** Start width(@p workers) threads. */
     explicit WorkerPool(unsigned workers);
+
+    /** @p requested, or hardware_concurrency() (at least 1) for 0. */
+    static unsigned width(unsigned requested);
 
     /** shutdown(): drains accepted tasks, then joins. */
     ~WorkerPool();

@@ -20,25 +20,54 @@ monotonicNs()
             .count());
 }
 
+/**
+ * Set when this thread's ChunkPool is destroyed.  Trivially
+ * destructible, so it stays readable for the rest of thread exit.
+ */
+thread_local bool t_chunkPoolGone = false;
+
 } // namespace
 
-thread_local EventQueue::Chunk *EventQueue::pool_ = nullptr;
-thread_local std::size_t EventQueue::poolSize_ = 0;
+struct EventQueue::ChunkPool
+{
+    Chunk *head = nullptr;
+    std::size_t size = 0;
+
+    ~ChunkPool()
+    {
+        while (head) {
+            Chunk *next = head->next;
+            delete head;
+            head = next;
+        }
+        t_chunkPoolGone = true;
+    }
+};
+
+EventQueue::ChunkPool *
+EventQueue::chunkPool()
+{
+    if (t_chunkPoolGone)
+        return nullptr;
+    static thread_local ChunkPool pool;
+    return &pool;
+}
 
 EventQueue::~EventQueue()
 {
     // Park chunks in the thread-local pool rather than freeing them:
     // glibc trims page-sized frees back to the OS, and the next queue
     // on this thread would page-fault the same memory straight back in.
-    auto release = [this](Chunk *c) {
+    ChunkPool *pool = chunkPool();
+    auto release = [pool](Chunk *c) {
         while (c) {
             for (std::size_t i = 0; i < c->count; ++i)
                 c->slot(i)->~Callback();
             Chunk *next = c->next;
-            if (poolSize_ < kPoolCap) {
-                c->next = pool_;
-                pool_ = c;
-                ++poolSize_;
+            if (pool && pool->size < kPoolCap) {
+                c->next = pool->head;
+                pool->head = c;
+                ++pool->size;
             } else {
                 delete c;
             }
@@ -70,11 +99,12 @@ EventQueue::Chunk *
 EventQueue::appendChunk(Bucket &b)
 {
     Chunk *c = freelist_;
+    ChunkPool *pool;
     if (c) {
         freelist_ = c->next;
-    } else if ((c = pool_)) {
-        pool_ = c->next;
-        --poolSize_;
+    } else if ((pool = chunkPool()) && (c = pool->head)) {
+        pool->head = c->next;
+        --pool->size;
     } else {
         c = new Chunk;
     }

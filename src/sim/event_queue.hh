@@ -290,8 +290,14 @@ class EventQueue
     /** Chunks a destructing queue may park for later queues (4 MiB). */
     static constexpr std::size_t kPoolCap = 1024;
 
-    static thread_local Chunk *pool_;
-    static thread_local std::size_t poolSize_;
+    /**
+     * This thread's parked chunks.  Its destructor frees them when the
+     * thread exits; a queue destroyed after that deletes its chunks.
+     */
+    struct ChunkPool;
+
+    /** This thread's pool, or nullptr once it has been destroyed. */
+    static ChunkPool *chunkPool();
 
     /** Append migrated overflow entry @p e to its bucket. */
     void pushBucket(Entry e);

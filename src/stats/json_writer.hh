@@ -2,7 +2,7 @@
  * @file
  * A small hand-rolled JSON writer.
  *
- * The bench binaries emit machine-readable results (--json) and the
+ * The bench experiments emit machine-readable results (--json) and the
  * trace recorder emits Chrome-trace files; both need strictly valid
  * JSON without pulling in an external dependency.  JsonWriter is a
  * push-style serializer: begin/end objects and arrays, write keys and

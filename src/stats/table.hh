@@ -2,7 +2,7 @@
  * @file
  * Text table and CSV rendering for bench output.
  *
- * Every bench binary prints the same rows/series as the paper's figure it
+ * Every experiment prints the same rows/series as the paper's figure it
  * regenerates, as a fixed-width table (human) and optionally CSV
  * (machine).
  */

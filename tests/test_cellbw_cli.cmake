@@ -140,4 +140,18 @@ if(NOT noval_err MATCHES "cellbw validate:")
     message(FATAL_ERROR "validate error message:\n${noval_err}")
 endif()
 
+# --- 5. --jobs must be a non-negative integer that fits unsigned -----
+# strtoul once let "-1" wrap to 4294967295 pool threads.
+foreach(jobs -1 4294967296 x)
+    run_cellbw(badjobs_suite 2 suite ci --quick --jobs ${jobs})
+    run_cellbw(badjobs_validate 2 validate --quick --jobs ${jobs})
+    run_cellbw(badjobs_serve 2 serve --jobs ${jobs})
+    foreach(cmd suite validate serve)
+        if(NOT badjobs_${cmd}_err MATCHES "bad --jobs value '${jobs}'")
+            message(FATAL_ERROR "${cmd} --jobs ${jobs} message:\n"
+                                "${badjobs_${cmd}_err}")
+        endif()
+    endforeach()
+endforeach()
+
 message(STATUS "cellbw CLI error paths behave")

@@ -204,6 +204,48 @@ TEST(Compare, MetricsGateIsOptIn)
     EXPECT_TRUE(compare(cand, base, p).ok());
 }
 
+TEST(Compare, IdenticalHistogramMetricPasses)
+{
+    const std::string hist = "{\"spe0.mfc.queue_depth\":{\"count\":6,"
+                             "\"sum\":9,\"mean\":1.5,"
+                             "\"buckets\":[0,3,3]}}";
+    std::string d = doc(point("results", "Get", 10.0), "cellbw-bench-v3",
+                        hist);
+    core::ComparePolicy p;
+    p.includeMetrics = true;
+    auto r = compare(d, d, p);
+    EXPECT_TRUE(r.ok()) << r.regressions.front();
+    EXPECT_EQ(r.metricsCompared, 1u);
+}
+
+TEST(Compare, FlippedHistogramBucketFails)
+{
+    auto hist = [](const char *buckets) {
+        return std::string("{\"spe0.mfc.queue_depth\":{\"count\":6,"
+                           "\"sum\":9,\"mean\":1.5,\"buckets\":") +
+               buckets + "}}";
+    };
+    std::string cand = doc(point("results", "Get", 10.0),
+                           "cellbw-bench-v3", hist("[0,3,3]"));
+    std::string base = doc(point("results", "Get", 10.0),
+                           "cellbw-bench-v3", hist("[3,0,3]"));
+    core::ComparePolicy p;
+    p.includeMetrics = true;
+    auto r = compare(cand, base, p);
+    ASSERT_EQ(r.regressions.size(), 1u);
+    EXPECT_NE(r.regressions[0].find("spe0.mfc.queue_depth"),
+              std::string::npos);
+    EXPECT_EQ(r.regressions[0].find("missing"), std::string::npos);
+
+    // A histogram that became a plain counter changed type.
+    std::string counter = doc(point("results", "Get", 10.0),
+                              "cellbw-bench-v3",
+                              "{\"spe0.mfc.queue_depth\":6}");
+    r = compare(counter, base, p);
+    ASSERT_EQ(r.regressions.size(), 1u);
+    EXPECT_NE(r.regressions[0].find("changed type"), std::string::npos);
+}
+
 TEST(Compare, ParseColumnTols)
 {
     std::map<std::string, double> tols;

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <thread>
 
 #include "core/experiments.hh"
 #include "core/runner.hh"
+#include "core/worker_pool.hh"
 #include "stats/metrics.hh"
 
 using namespace cellbw;
@@ -28,13 +30,31 @@ speSpeBody(cell::CellSystem &sys)
 
 } // namespace
 
-TEST(ParallelRunner, ResolveJobsClampsAndDefaults)
+TEST(ParallelRunner, OneJobRunsInlineWiderSweepsUseAPool)
 {
-    EXPECT_EQ(core::ParallelSpec{1}.resolveJobs(10), 1u);
-    EXPECT_EQ(core::ParallelSpec{4}.resolveJobs(10), 4u);
-    EXPECT_EQ(core::ParallelSpec{8}.resolveJobs(3), 3u);   // <= runs
-    EXPECT_GE(core::ParallelSpec{0}.resolveJobs(16), 1u);  // auto
-    EXPECT_EQ(core::ParallelSpec::serial().jobs, 1u);
+    // One job (or one run) stays on the calling thread; wider sweeps
+    // run on a pool: the caller's, or one scoped to the call.
+    cell::CellConfig cfg;
+    const auto caller = std::this_thread::get_id();
+    auto threadsOf = [&](core::RepeatSpec spec, core::ParallelSpec par) {
+        std::mutex m;
+        std::set<std::thread::id> ids;
+        core::repeatRuns(cfg, spec, [&](cell::CellSystem &) {
+            std::lock_guard<std::mutex> lock(m);
+            ids.insert(std::this_thread::get_id());
+            return 1.0;
+        }, par);
+        return ids;
+    };
+    const std::set<std::thread::id> inline_{caller};
+    EXPECT_EQ(threadsOf({4, 42}, core::ParallelSpec::serial()), inline_);
+    EXPECT_EQ(threadsOf({1, 42}, core::ParallelSpec{4}), inline_);
+    EXPECT_EQ(threadsOf({4, 42}, core::ParallelSpec{4}).count(caller), 0u);
+
+    core::WorkerPool pool(2);
+    auto pooled = threadsOf({6, 42}, core::ParallelSpec{0, &pool});
+    EXPECT_EQ(pooled.count(caller), 0u);
+    EXPECT_LE(pooled.size(), 2u);
 }
 
 TEST(ParallelRunner, ParallelMatchesSerialBitIdentically)

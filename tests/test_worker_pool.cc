@@ -23,6 +23,14 @@ TEST(WorkerPool, RunsEverySubmittedTask)
     EXPECT_EQ(ran.load(), 200);
 }
 
+TEST(WorkerPool, WidthDefaultsToTheHostAndNeverZero)
+{
+    EXPECT_EQ(core::WorkerPool::width(3), 3u);
+    EXPECT_GE(core::WorkerPool::width(0), 1u);
+    core::WorkerPool pool(0);
+    EXPECT_EQ(pool.workers(), core::WorkerPool::width(0));
+}
+
 TEST(WorkerPool, ShutdownDrainsAcceptedTasksNeverDrops)
 {
     // Tasks accepted before shutdown() must run to completion — a
