@@ -1024,6 +1024,7 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
         if (engine_) {
             reg.counter("profile.crossings.delivered")
                 .add(engine_->messagesDelivered());
+            reg.counter("profile.engine.windows").add(engine_->windows());
         }
     }
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * QCD-style halo-exchange stencil over an N-chip lattice decomposition
- * (ROADMAP item 3's "real application kernel").
+ * (the cluster_halo experiment's application kernel).
  *
  * The lattice is a 1-D ring of ranks, each owning a slab resident in
  * its home chip's XDR bank (mem::NumaPolicy::onBank).  Every step a

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/worker_pool.hh"
@@ -37,6 +38,60 @@ RepeatSpec::fromOptions(const util::Options &opts, std::string &err)
     return true;
 }
 
+void
+parallelFor(std::size_t n, const ParallelSpec &par,
+            const std::function<void(std::size_t)> &fn)
+{
+    WorkerPool *pool = par.pool;
+    std::optional<WorkerPool> scoped;
+    const std::size_t width =
+        std::min<std::size_t>(WorkerPool::width(par.jobs), n);
+    if (!pool && width > 1)
+        pool = &scoped.emplace(static_cast<unsigned>(width));
+
+    std::mutex m;
+    std::condition_variable cv;
+    std::size_t submitted = 0, done = 0, errIndex = n;
+    std::exception_ptr firstError;
+    auto fail = [&](std::size_t i, std::exception_ptr err) {
+        if (i < errIndex) {
+            errIndex = i;
+            firstError = err;
+        }
+    };
+    auto runTask = [&](std::size_t i) {
+        std::exception_ptr err;
+        try {
+            fn(i);
+        } catch (...) {
+            err = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(m);
+        if (err)
+            fail(i, err);
+        ++done;
+        cv.notify_one();
+    };
+
+    // A submit() refused mid-batch (the pool is shutting down) still
+    // waits out the tasks already accepted: they reference this frame.
+    try {
+        for (; submitted < n; ++submitted) {
+            if (pool)
+                pool->submit([&runTask, i = submitted] { runTask(i); });
+            else
+                runTask(submitted);
+        }
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(m);
+        fail(submitted, std::current_exception());
+    }
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return done == submitted; });
+    if (firstError)
+        std::rethrow_exception(firstError);
+}
+
 namespace
 {
 
@@ -49,51 +104,6 @@ runOne(const cell::CellConfig &cfg, const RepeatSpec &spec,
     if (spec.metrics)
         sys.snapshotMetrics(*spec.metrics);
     return sample;
-}
-
-/**
- * Seed sweep on a worker pool: submit every run, wait for this batch
- * only.  A shared pool interleaves these tasks with other experiments'
- * runs; merging in seed order below keeps the result bit-identical to
- * the serial loop.
- */
-stats::Distribution
-repeatRunsPooled(const cell::CellConfig &cfg, const RepeatSpec &spec,
-                 const ExperimentBody &body, WorkerPool &pool)
-{
-    std::vector<double> results(spec.runs, 0.0);
-    std::mutex m;
-    std::condition_variable cv;
-    unsigned done = 0;
-    std::exception_ptr firstError;
-
-    for (unsigned r = 0; r < spec.runs; ++r) {
-        pool.submit([&, r] {
-            double sample = 0.0;
-            std::exception_ptr err;
-            try {
-                sample = runOne(cfg, spec, spec.seed + r, body);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            std::lock_guard<std::mutex> lock(m);
-            results[r] = sample;
-            if (err && !firstError)
-                firstError = err;
-            if (++done == spec.runs)
-                cv.notify_one();
-        });
-    }
-
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return done == spec.runs; });
-    if (firstError)
-        std::rethrow_exception(firstError);
-
-    stats::Distribution dist;
-    for (unsigned r = 0; r < spec.runs; ++r)
-        dist.add(results[r]);
-    return dist;
 }
 
 } // namespace
@@ -116,18 +126,16 @@ repeatRuns(const cell::CellConfig &cfg, const RepeatSpec &requested,
         spec.warmup = 0;
     }
 
-    if (par.pool)
-        return repeatRunsPooled(cfg, spec, body, *par.pool);
-
-    const unsigned jobs = std::min(WorkerPool::width(par.jobs), spec.runs);
-    if (jobs <= 1) {
-        stats::Distribution dist;
-        for (unsigned r = 0; r < spec.runs; ++r)
-            dist.add(runOne(cfg, spec, spec.seed + r, body));
-        return dist;
-    }
-    WorkerPool pool(jobs);
-    return repeatRunsPooled(cfg, spec, body, pool);
+    // Each run fills its own slot; merging in seed order keeps the
+    // Distribution bit-identical to a serial sweep.
+    std::vector<double> samples(spec.runs, 0.0);
+    parallelFor(spec.runs, par, [&](std::size_t r) {
+        samples[r] = runOne(cfg, spec, spec.seed + r, body);
+    });
+    stats::Distribution dist;
+    for (double s : samples)
+        dist.add(s);
+    return dist;
 }
 
 } // namespace cellbw::core

@@ -10,8 +10,8 @@
  *
  * The N runs are completely independent — each owns a private
  * CellSystem (event queue, RNG, memory model) — so repeatRuns() fans
- * them out over a core::WorkerPool: the caller's shared pool when
- * ParallelSpec::pool is set, otherwise one scoped to the call.
+ * them out with parallelFor(): on the caller's shared pool when
+ * ParallelSpec::pool is set, otherwise on one scoped to the call.
  * Samples are merged in seed order regardless of which worker finished
  * first, so the resulting Distribution is bit-identical to a serial
  * sweep: --jobs only changes wall-clock time, never results.
@@ -91,7 +91,7 @@ struct ParallelSpec
     /**
      * Worker threads for the seed sweep; 0 means
      * std::thread::hardware_concurrency().  With no @ref pool,
-     * repeatRuns() starts a pool of min(jobs, runs) workers for the
+     * parallelFor() starts a pool of min(jobs, tasks) workers for the
      * call, or runs inline with no threads when that is 1.  Ignored
      * when @ref pool is set.
      */
@@ -109,6 +109,18 @@ struct ParallelSpec
 
     static ParallelSpec serial() { return ParallelSpec{1}; }
 };
+
+/**
+ * Run @p fn(0), ..., @p fn(n - 1), each exactly once, as described by
+ * @p par: on its pool, else on a pool of min(width(jobs), n) workers
+ * scoped to the call, else (width 1) inline on the calling thread.
+ * Returns once every call has finished.  If any call throws, the error
+ * of the lowest failing index is rethrown after all of them are done,
+ * so the outcome does not depend on the width either.  Calls may run
+ * concurrently: each must write only its own slot of shared output.
+ */
+void parallelFor(std::size_t n, const ParallelSpec &par,
+                 const std::function<void(std::size_t)> &fn);
 
 using ExperimentBody = std::function<double(cell::CellSystem &)>;
 

@@ -94,9 +94,9 @@ PartitionedEngine::deliverDue(Tick horizon)
     });
     for (auto &m : due_) {
         unsigned dst = m.src % n_;
-        // Deterministic profile attribution: delivered messages are
-        // boundary traffic, not the last event's component.
-        TagScope tag(*queues_[dst], EventTag::Other);
+        // Deterministic profile attribution: every message is a link
+        // crossing, not the last event's component.
+        TagScope tag(*queues_[dst], EventTag::IoLink);
         queues_[dst]->scheduleAt(m.when, std::move(m.fn));
         ++delivered_;
     }
@@ -123,6 +123,7 @@ PartitionedEngine::runWindowsSerial()
                               ? maxTick
                               : tmin + lookahead_ - 1;
         deliverDue(window_end);
+        ++windows_;
         for (auto &q : queues_)
             events += q->runUntil(window_end);
     }
@@ -164,6 +165,7 @@ PartitionedEngine::runWindowsThreaded(unsigned threads)
         Tick we = (tmin > maxTick - lookahead_) ? maxTick
                                                 : tmin + lookahead_ - 1;
         deliverDue(we);
+        ++windows_;
         window_end.store(we, std::memory_order_relaxed);
         sync.arrive_and_wait();  // workers start the window
         sync.arrive_and_wait();  // workers finished the window

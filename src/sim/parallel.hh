@@ -85,6 +85,9 @@ class PartitionedEngine
     /** Number of cross-partition messages delivered so far. */
     std::uint64_t messagesDelivered() const { return delivered_; }
 
+    /** Number of lookahead windows run so far. */
+    std::uint64_t windows() const { return windows_; }
+
     void setProfiling(bool on);
 
   private:
@@ -113,6 +116,7 @@ class PartitionedEngine
     std::vector<std::vector<Msg>> channels_;
     std::vector<std::uint64_t> channelSeq_;
     std::uint64_t delivered_ = 0;
+    std::uint64_t windows_ = 0;
     std::vector<Msg> due_;
 };
 

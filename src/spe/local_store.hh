@@ -6,13 +6,18 @@
  * SPU's loads/stores and the MFC's DMA traffic (on real hardware the MFC
  * has priority; here the port simply serializes, which is equivalent for
  * sustained-bandwidth purposes).
+ *
+ * The contents live in an anonymous mapping, so a store costs host
+ * memory only for the pages a program actually writes: bytes never
+ * written read as 0 without ever being backed.  An 8-chip system has
+ * 64 stores (16 MiB) but a typical kernel touches a few buffers on a
+ * few SPEs.
  */
 
 #ifndef CELLBW_SPE_LOCAL_STORE_HH
 #define CELLBW_SPE_LOCAL_STORE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/sim_object.hh"
 #include "util/types.hh"
@@ -34,6 +39,10 @@ class LocalStore : public sim::SimObject
   public:
     LocalStore(std::string name, sim::EventQueue &eq,
                const LocalStoreParams &params);
+    ~LocalStore() override;
+
+    LocalStore(const LocalStore &) = delete;
+    LocalStore &operator=(const LocalStore &) = delete;
 
     std::uint32_t size() const { return params_.sizeBytes; }
 
@@ -60,7 +69,7 @@ class LocalStore : public sim::SimObject
     void checkRange(LsAddr lsa, std::uint32_t size) const;
 
     LocalStoreParams params_;
-    std::vector<std::uint8_t> data_;
+    std::uint8_t *data_ = nullptr;
     Tick portFreeAt_ = 0;
     std::uint64_t bytesAccessed_ = 0;
 };

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/experiments.hh"
+#include "stats/metrics.hh"
 #include "test_util.hh"
 
 using namespace cellbw;
@@ -171,6 +174,38 @@ TEST(DualChip, SimJobsNeverChangesTheAnswer)
     ASSERT_GT(serial, 0.0);
     EXPECT_EQ(serial, run(2));
     EXPECT_EQ(serial, run(4));
+}
+
+TEST(DualChip, ProfiledRunBooksCrossingsAsIoLinkAndCountsWindows)
+{
+    // Under --sim-profile every message the engine delivers is a link
+    // crossing and is booked as iolink, and the engine counts its
+    // lookahead windows.  Both follow from the partitioned schedule,
+    // so --sim-jobs must not move them.
+    auto profile = [](unsigned simJobs) {
+        auto cfg = twoChips(cell::AffinityPolicy::Random);
+        cfg.numSpes = 16;
+        cfg.simJobs = simJobs;
+        cfg.simProfile = true;
+        cell::CellSystem sys(cfg, 7);   // seed 7: mixed placement
+        core::SpeSpeConfig sc;
+        sc.numSpes = 16;
+        sc.elemBytes = 4096;
+        sc.bytesPerStream = 64 * util::KiB;
+        core::runSpeSpe(sys, sc);
+        stats::MetricsRegistry reg;
+        sys.snapshotMetrics(reg);
+        auto count = [&reg](const char *name) {
+            const auto *c = reg.findCounter(name);
+            return c ? c->value() : std::uint64_t(0);
+        };
+        return std::pair(count("profile.iolink.events"),
+                         count("profile.engine.windows"));
+    };
+    const auto serial = profile(1);
+    EXPECT_GT(serial.first, 0u);
+    EXPECT_GT(serial.second, 0u);
+    EXPECT_EQ(serial, profile(2));
 }
 
 TEST(DualChip, SixteenSpeCouplesScaleAcrossChips)

@@ -42,6 +42,34 @@ TEST_F(LsFixture, DataRoundTrips)
     EXPECT_EQ(ls->byteAt(0x100), 's');
 }
 
+TEST_F(LsFixture, FreshStoreReadsZero)
+{
+    // Pages are backed lazily; a never-written byte must still read 0
+    // at both ends of the store and across a 4 KiB page boundary.
+    auto ls = make();
+    EXPECT_EQ(ls->byteAt(0), 0);
+    EXPECT_EQ(ls->byteAt(256 * 1024 - 1), 0);
+    std::uint8_t buf[64];
+    std::memset(buf, 0xFF, sizeof(buf));
+    ls->read(4096 - 32, buf, sizeof(buf));
+    for (auto b : buf)
+        EXPECT_EQ(b, 0);
+}
+
+TEST_F(LsFixture, WriteAcrossAPageBoundaryRoundTrips)
+{
+    auto ls = make();
+    std::uint8_t in[48], out[48] = {};
+    for (unsigned i = 0; i < sizeof(in); ++i)
+        in[i] = static_cast<std::uint8_t>(i + 1);
+    ls->write(2 * 4096 - 16, in, sizeof(in));
+    ls->read(2 * 4096 - 16, out, sizeof(out));
+    EXPECT_EQ(std::memcmp(in, out, sizeof(in)), 0);
+    // Neighbours of the written span are untouched.
+    EXPECT_EQ(ls->byteAt(2 * 4096 - 17), 0);
+    EXPECT_EQ(ls->byteAt(2 * 4096 + 32), 0);
+}
+
 TEST_F(LsFixture, FillWorks)
 {
     auto ls = make();
@@ -58,6 +86,7 @@ TEST_F(LsFixture, OutOfBoundsAccessIsFatal)
     EXPECT_THROW(ls->read(256 * 1024 - 8, buf, 16), sim::FatalError);
     EXPECT_THROW(ls->write(256 * 1024, buf, 1), sim::FatalError);
     EXPECT_THROW(ls->byteAt(256 * 1024), sim::FatalError);
+    EXPECT_THROW(ls->fill(256 * 1024 - 4, 0x5A, 8), sim::FatalError);
 }
 
 TEST_F(LsFixture, ExactEndOfStoreIsLegal)
@@ -94,5 +123,11 @@ TEST_F(LsFixture, SubWidthAccessStillCostsACycle)
 TEST_F(LsFixture, ZeroWidthPortIsFatal)
 {
     params.bytesPerCycle = 0;
+    EXPECT_THROW(make(), sim::FatalError);
+}
+
+TEST_F(LsFixture, ZeroSizeStoreIsFatal)
+{
+    params.sizeBytes = 0;
     EXPECT_THROW(make(), sim::FatalError);
 }

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/experiments.hh"
 #include "core/runner.hh"
@@ -29,6 +33,72 @@ speSpeBody(cell::CellSystem &sys)
 }
 
 } // namespace
+
+TEST(ParallelFor, RunsEachIndexExactlyOnce)
+{
+    // With the caller's pool, a pool scoped to the call, and inline;
+    // inline stays on the calling thread, the pools never use it.
+    const auto caller = std::this_thread::get_id();
+    core::WorkerPool pool(3);
+    const std::pair<const char *, core::ParallelSpec> modes[] = {
+        {"shared", core::ParallelSpec{0, &pool}},
+        {"scoped", core::ParallelSpec{4}},
+        {"inline", core::ParallelSpec::serial()},
+    };
+    for (const auto &[name, par] : modes) {
+        std::vector<std::atomic<unsigned>> calls(37);
+        std::mutex m;
+        std::set<std::thread::id> ids;
+        core::parallelFor(calls.size(), par, [&](std::size_t i) {
+            calls[i].fetch_add(1, std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(m);
+            ids.insert(std::this_thread::get_id());
+        });
+        for (std::size_t i = 0; i < calls.size(); ++i)
+            EXPECT_EQ(calls[i].load(), 1u) << name << " index " << i;
+        if (par.jobs == 1)
+            EXPECT_EQ(ids, std::set<std::thread::id>{caller}) << name;
+        else
+            EXPECT_EQ(ids.count(caller), 0u) << name;
+    }
+}
+
+TEST(ParallelFor, ZeroTasksReturnAtOnce)
+{
+    core::WorkerPool pool(2);
+    bool called = false;
+    auto fn = [&](std::size_t) { called = true; };
+    core::parallelFor(0, core::ParallelSpec{0, &pool}, fn);
+    core::parallelFor(0, core::ParallelSpec{4}, fn);
+    core::parallelFor(0, core::ParallelSpec::serial(), fn);
+    EXPECT_FALSE(called);
+}
+
+TEST(ParallelFor, ErrorIsRethrownAfterEveryTaskFinished)
+{
+    // Index 2 throws at once while the others are still sleeping; the
+    // caller must not see the error until they have all returned, and
+    // of two errors it sees the lower index's, whatever the width.
+    core::WorkerPool pool(3);
+    for (const auto &par : {core::ParallelSpec{0, &pool},
+                            core::ParallelSpec{4},
+                            core::ParallelSpec::serial()}) {
+        std::atomic<unsigned> finished{0};
+        std::string what;
+        try {
+            core::parallelFor(8, par, [&](std::size_t i) {
+                if (i == 2 || i == 5)
+                    throw std::runtime_error("task " + std::to_string(i));
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                finished.fetch_add(1);
+            });
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        EXPECT_EQ(what, "task 2") << "jobs=" << par.jobs;
+        EXPECT_EQ(finished.load(), 6u) << "jobs=" << par.jobs;
+    }
+}
 
 TEST(ParallelRunner, OneJobRunsInlineWiderSweepsUseAPool)
 {
