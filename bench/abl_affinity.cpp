@@ -23,33 +23,43 @@ run(core::ExperimentContext &b)
 {
     b.header("Ablation C", "couples & cycle under placement policies");
 
-    stats::Table table({"affinity", "topology", "GB/s(mean)",
-                        "GB/s(min)", "GB/s(max)", "of peak"});
-    for (auto aff : {cell::AffinityPolicy::Random,
-                     cell::AffinityPolicy::Linear,
-                     cell::AffinityPolicy::Paired}) {
+    const cell::AffinityPolicy policies[] = {
+        cell::AffinityPolicy::Random, cell::AffinityPolicy::Linear,
+        cell::AffinityPolicy::Paired};
+    const core::SpeSpeMode modes[] = {core::SpeSpeMode::Couples,
+                                      core::SpeSpeMode::Cycle};
+    std::vector<core::BatchPoint> points;
+    for (auto aff : policies) {
         auto cfg = b.cfg;
         cfg.affinity = aff;
-        for (auto mode : {core::SpeSpeMode::Couples,
-                          core::SpeSpeMode::Cycle}) {
+        for (auto mode : modes) {
             core::SpeSpeConfig sc;
             sc.mode = mode;
             sc.numSpes = 8;
             sc.elemBytes = 4096;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({cfg, b.repeat, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }});
+        }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    stats::Table table({"affinity", "topology", "GB/s(mean)",
+                        "GB/s(min)", "GB/s(max)", "of peak"});
+    auto d = dists.begin();
+    for (auto aff : policies) {
+        for (auto mode : modes) {
             double peak = 8 * b.cfg.rampPeakGBps();
             table.addRow({cell::toString(aff),
                           mode == core::SpeSpeMode::Cycle ? "cycle"
                                                           : "couples",
-                          stats::Table::num(d.mean()),
-                          stats::Table::num(d.min()),
-                          stats::Table::num(d.max()),
+                          stats::Table::num(d->mean()),
+                          stats::Table::num(d->min()),
+                          stats::Table::num(d->max()),
                           util::format("%.0f%%",
-                                       100.0 * d.mean() / peak)});
+                                       100.0 * d->mean() / peak)});
+            ++d;
         }
     }
     b.emit(table);

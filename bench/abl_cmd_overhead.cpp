@@ -28,26 +28,34 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
-    stats::Table table({"overhead(bus cyc)", "elem", "GB/s"});
-    stats::SeriesChart chart("pair GET+PUT GB/s vs element size, by "
-                             "issue overhead", xlabels);
-    for (Tick overhead : {Tick(6), Tick(12), Tick(24), Tick(48),
-                          Tick(96)}) {
+    const Tick overheads[] = {6, 12, 24, 48, 96};
+    std::vector<core::BatchPoint> points;
+    for (Tick overhead : overheads) {
         auto cfg = b.cfg;
         cfg.spe.mfc.elemOverheadBus = overhead;
-        std::vector<double> series;
         for (auto e : elems) {
             core::SpeSpeConfig sc;
             sc.numSpes = 2;
             sc.elemBytes = e;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({cfg, b.repeat, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
-            series.push_back(d.mean());
+            }});
+        }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    stats::Table table({"overhead(bus cyc)", "elem", "GB/s"});
+    stats::SeriesChart chart("pair GET+PUT GB/s vs element size, by "
+                             "issue overhead", xlabels);
+    auto d = dists.begin();
+    for (Tick overhead : overheads) {
+        std::vector<double> series;
+        for (auto e : elems) {
+            series.push_back(d->mean());
             table.addRow({std::to_string(overhead), core::elemLabel(e),
-                          stats::Table::num(d.mean())});
+                          stats::Table::num(d->mean())});
+            ++d;
         }
         chart.addSeries(util::format("%llu bc",
                                      (unsigned long long)overhead),

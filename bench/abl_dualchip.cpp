@@ -45,6 +45,7 @@ run(core::ExperimentContext &b)
          cell::AffinityPolicy::Paired},
     };
 
+    std::vector<core::BatchPoint> points;
     for (const auto &row : rows) {
         auto cfg = b.cfg;
         cfg.numChips = row.chips;
@@ -54,11 +55,14 @@ run(core::ExperimentContext &b)
         sc.numSpes = row.spes;
         sc.elemBytes = 4096;
         sc.bytesPerStream = b.bytesPerSpe;
-        auto d = core::repeatRuns(cfg, b.repeat,
-                                  [&](cell::CellSystem &sys) {
+        points.push_back({cfg, b.repeat, [sc](cell::CellSystem &sys) {
             return core::runSpeSpe(sys, sc);
-        }, b.par);
-        table.addRow({row.name, std::to_string(row.spes),
+        }});
+    }
+    const auto dists = core::runBatch(points, b.par);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto &d = dists[i];
+        table.addRow({rows[i].name, std::to_string(rows[i].spes),
                       stats::Table::num(d.mean()),
                       stats::Table::num(d.min()),
                       stats::Table::num(d.max())});

@@ -23,7 +23,10 @@ run(core::ExperimentContext &b)
     b.header("Ablation D", "SPE pair, 4 KiB DMA-elem, queue depth x "
                            "sync policy");
 
-    stats::Table table({"queue depth", "sync-every", "GB/s"});
+    // One point per (queue depth, sync-every) row, skipping a sync
+    // interval deeper than the queue.
+    std::vector<std::pair<unsigned, unsigned>> rows;
+    std::vector<core::BatchPoint> points;
     for (unsigned depth : {1u, 2u, 4u, 8u, 16u, 32u}) {
         auto cfg = b.cfg;
         cfg.spe.mfc.queueDepth = depth;
@@ -35,14 +38,20 @@ run(core::ExperimentContext &b)
             sc.elemBytes = 4096;
             sc.syncEvery = k;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({cfg, b.repeat, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
-            table.addRow({std::to_string(depth),
-                          k ? std::to_string(k) : "all",
-                          stats::Table::num(d.mean())});
+            }});
+            rows.emplace_back(depth, k);
         }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    stats::Table table({"queue depth", "sync-every", "GB/s"});
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto [depth, k] = rows[i];
+        table.addRow({std::to_string(depth),
+                      k ? std::to_string(k) : "all",
+                      stats::Table::num(dists[i].mean())});
     }
     b.emit(table);
     b.printf("reference: pair peak %.1f GB/s\n", b.cfg.pairPeakGBps());

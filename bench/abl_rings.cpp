@@ -20,31 +20,41 @@ run(core::ExperimentContext &b)
 {
     b.header("Ablation A", "8-SPE cycle vs number of EIB data rings");
 
-    stats::Table table({"rings", "topology", "GB/s(mean)", "GB/s(min)",
-                        "GB/s(max)", "of peak"});
-    for (unsigned rings : {2u, 4u, 8u}) {
+    const unsigned ringCounts[] = {2, 4, 8};
+    const core::SpeSpeMode modes[] = {core::SpeSpeMode::Couples,
+                                      core::SpeSpeMode::Cycle};
+    std::vector<core::BatchPoint> points;
+    for (unsigned rings : ringCounts) {
         auto cfg = b.cfg;
         cfg.eib.numRings = rings;
-        for (auto mode : {core::SpeSpeMode::Couples,
-                          core::SpeSpeMode::Cycle}) {
+        for (auto mode : modes) {
             core::SpeSpeConfig sc;
             sc.mode = mode;
             sc.numSpes = 8;
             sc.elemBytes = 4096;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({cfg, b.repeat, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }});
+        }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    stats::Table table({"rings", "topology", "GB/s(mean)", "GB/s(min)",
+                        "GB/s(max)", "of peak"});
+    auto d = dists.begin();
+    for (unsigned rings : ringCounts) {
+        for (auto mode : modes) {
             double peak = 8 * b.cfg.rampPeakGBps();
             table.addRow({std::to_string(rings),
                           mode == core::SpeSpeMode::Cycle ? "cycle"
                                                           : "couples",
-                          stats::Table::num(d.mean()),
-                          stats::Table::num(d.min()),
-                          stats::Table::num(d.max()),
+                          stats::Table::num(d->mean()),
+                          stats::Table::num(d->min()),
+                          stats::Table::num(d->max()),
                           util::format("%.0f%%",
-                                       100.0 * d.mean() / peak)});
+                                       100.0 * d->mean() / peak)});
+            ++d;
         }
     }
     b.emit(table);

@@ -20,9 +20,10 @@
  * All 16 points' placement sweeps run as one batch on the run's pool
  * (--jobs): every run of every point is submitted at once and writes
  * its own slot, and the rows are folded afterwards in point and seed
- * order, so the report is byte-identical for any --jobs.  `cellbw run`
- * sizes that pool min(--jobs, --runs), 3 at --quick; each concurrent
- * 8-chip system holds about 8 MB of host memory.
+ * order, so the report is byte-identical for any --jobs.  The batch
+ * keeps at most min(--jobs, --runs) systems live, 3 at --quick, even
+ * on a wider pool; each concurrent 8-chip system holds about 8 MB of
+ * host memory.
  */
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 
 #include "bench_common.hh"
 #include "core/halo.hh"
+#include "core/worker_pool.hh"
 #include "stats/distribution.hh"
 
 using namespace cellbw;
@@ -77,9 +79,9 @@ run(core::ExperimentContext &b)
     }
 
     // Run i of a point uses seed + i and the first `warmup` runs are
-    // discarded: repeatRuns()'s seed and warmup semantics.  It is not
+    // discarded: runBatch()'s seed and warmup semantics.  It is not
     // used here because the per-run link counters feed the "link
-    // GB/s(max)" column, which its Distribution cannot carry.
+    // GB/s(max)" column, which its Distributions cannot carry.
     struct Sample
     {
         double gbps = 0.0;
@@ -90,7 +92,11 @@ run(core::ExperimentContext &b)
     std::vector<Sample> samples(points.size() * perPoint);
     // Largest systems first (points ascend in chip count): the 8-chip
     // runs start on fresh heaps, which lowers the peak RSS, and the
-    // cheap 1-chip runs fill the tail.
+    // cheap 1-chip runs fill the tail.  At most min(--jobs, --runs)
+    // systems are live at once, on any pool: a fourth 8-chip system
+    // costs more host memory than its time saves.
+    const std::size_t live = std::min<std::size_t>(
+        core::WorkerPool::width(b.par.jobs), b.repeat.runs);
     core::parallelFor(samples.size(), b.par, [&](std::size_t j) {
         const std::size_t k = samples.size() - 1 - j;
         const Point &p = points[k / perPoint];
@@ -115,7 +121,7 @@ run(core::ExperimentContext &b)
         }
         if (b.repeat.metrics)
             sys.snapshotMetrics(*b.repeat.metrics);
-    });
+    }, live);
 
     stats::Table table({"chips", "placement", "halo", "GB/s(mean)",
                         "halo GB/s", "link GB/s(max)"});

@@ -33,6 +33,27 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    // Every (op, SPE count, element) point's runs go out as one batch;
+    // the tables below read the folded Distributions in the same order.
+    std::vector<core::BatchPoint> points;
+    for (auto op : ops) {
+        for (unsigned n : spe_counts) {
+            for (auto e : elems) {
+                core::SpeMemConfig mc;
+                mc.numSpes = n;
+                mc.elemBytes = e;
+                mc.op = op;
+                mc.bytesPerSpe = b.bytesPerSpe;
+                points.push_back({b.cfg, b.repeat,
+                                  [mc](cell::CellSystem &sys) {
+                    return core::runSpeMem(sys, mc);
+                }});
+            }
+        }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    auto d = dists.begin();
     for (auto op : ops) {
         stats::Table table({"op", "spes", "elem", "GB/s(mean)",
                             "GB/s(min)", "GB/s(max)"});
@@ -45,21 +66,13 @@ run(core::ExperimentContext &b)
         for (unsigned n : spe_counts) {
             std::vector<double> series;
             for (auto e : elems) {
-                core::SpeMemConfig mc;
-                mc.numSpes = n;
-                mc.elemBytes = e;
-                mc.op = op;
-                mc.bytesPerSpe = b.bytesPerSpe;
-                auto d = core::repeatRuns(b.cfg, b.repeat,
-                                          [&](cell::CellSystem &sys) {
-                    return core::runSpeMem(sys, mc);
-                }, b.par);
-                series.push_back(d.mean());
+                series.push_back(d->mean());
                 table.addRow({core::toString(op), std::to_string(n),
                               core::elemLabel(e),
-                              stats::Table::num(d.mean()),
-                              stats::Table::num(d.min()),
-                              stats::Table::num(d.max())});
+                              stats::Table::num(d->mean()),
+                              stats::Table::num(d->min()),
+                              stats::Table::num(d->max())});
+                ++d;
             }
             chart.addSeries(util::format("%u SPE%s", n, n > 1 ? "s" : ""),
                             series);

@@ -30,12 +30,8 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
-    stats::Table table({"sync-every", "elem", "GB/s(mean)", "GB/s(min)",
-                        "GB/s(max)"});
-    stats::SeriesChart chart("Fig 10: mean GB/s vs element size, by sync "
-                             "delay", xlabels);
+    std::vector<core::BatchPoint> points;
     for (unsigned k : sync_every) {
-        std::vector<double> series;
         for (auto e : elems) {
             core::SpeSpeConfig sc;
             sc.mode = core::SpeSpeMode::Couples;
@@ -43,16 +39,29 @@ run(core::ExperimentContext &b)
             sc.elemBytes = e;
             sc.syncEvery = k;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({b.cfg, b.repeat,
+                              [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
-            series.push_back(d.mean());
+            }});
+        }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    stats::Table table({"sync-every", "elem", "GB/s(mean)", "GB/s(min)",
+                        "GB/s(max)"});
+    stats::SeriesChart chart("Fig 10: mean GB/s vs element size, by sync "
+                             "delay", xlabels);
+    auto d = dists.begin();
+    for (unsigned k : sync_every) {
+        std::vector<double> series;
+        for (auto e : elems) {
+            series.push_back(d->mean());
             table.addRow({k ? std::to_string(k) : "all",
                           core::elemLabel(e),
-                          stats::Table::num(d.mean()),
-                          stats::Table::num(d.min()),
-                          stats::Table::num(d.max())});
+                          stats::Table::num(d->mean()),
+                          stats::Table::num(d->min()),
+                          stats::Table::num(d->max())});
+            ++d;
         }
         chart.addSeries(k ? util::format("every %u", k) : "all at end",
                         series);

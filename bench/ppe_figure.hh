@@ -33,6 +33,25 @@ runPpeFigure(core::ExperimentContext &b, const char *figure,
     for (auto e : elems)
         xlabels.push_back(util::format("%uB", e));
 
+    // PPE runs are deterministic (no SPE placement): one run per
+    // point suffices.  All points go out as one batch.
+    const core::RepeatSpec once{1, b.repeat.seed};
+    std::vector<core::BatchPoint> points;
+    for (auto op : ops) {
+        for (unsigned threads = 1; threads <= 2; ++threads) {
+            for (auto e : elems) {
+                auto cfg = factory(threads, e, op);
+                cfg.totalBytes = b.bytesPerSpe;
+                points.push_back({b.cfg, once,
+                                  [cfg](cell::CellSystem &sys) {
+                    return core::runPpeStream(sys, cfg);
+                }});
+            }
+        }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    auto d = dists.begin();
     for (auto op : ops) {
         stats::Table table({"op", "threads", "elem", "GB/s"});
         stats::SeriesChart chart(
@@ -42,20 +61,12 @@ runPpeFigure(core::ExperimentContext &b, const char *figure,
         for (unsigned threads = 1; threads <= 2; ++threads) {
             std::vector<double> series;
             for (auto e : elems) {
-                auto cfg = factory(threads, e, op);
-                cfg.totalBytes = b.bytesPerSpe;
-                // PPE runs are deterministic (no SPE placement): one
-                // run suffices.
-                core::RepeatSpec once{1, b.repeat.seed};
-                auto d = core::repeatRuns(b.cfg, once,
-                                          [&](cell::CellSystem &sys) {
-                    return core::runPpeStream(sys, cfg);
-                }, b.par);
-                series.push_back(d.mean());
+                series.push_back(d->mean());
                 table.addRow({core::toString(op),
                               std::to_string(threads),
                               util::format("%uB", e),
-                              stats::Table::num(d.mean())});
+                              stats::Table::num(d->mean())});
+                ++d;
             }
             chart.addSeries(util::format("%u thread%s", threads,
                                          threads > 1 ? "s" : ""),

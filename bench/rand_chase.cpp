@@ -32,27 +32,50 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
-    stats::Table table({"mode", "elem", "GB/s(mean)", "GB/s(min)",
-                        "GB/s(max)"});
-    stats::SeriesChart chart("Rand B: gather mean GB/s vs element size",
-                             xlabels);
+    // One batch: the element sweep (element-wise, then DMA-list), then
+    // the list-length sweep at 16 B elements.  Longer lists amortize
+    // the command header and deepen the gather pipeline until the LS
+    // landing slots cap it.
+    const unsigned perList[] = {4, 16, 64, 256, 1024};
+    std::vector<core::BatchPoint> points;
     for (bool use_list : {false, true}) {
-        const char *mode = use_list ? "DMA-list" : "elem-GET";
-        std::vector<double> series;
         for (auto e : elems) {
             core::RandChaseConfig cc;
             cc.elemBytes = e;
             cc.useList = use_list;
             cc.bytesPerSpe = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({b.cfg, b.repeat, [cc](cell::CellSystem &sys) {
                 return core::runRandChase(sys, cc);
-            }, b.par);
-            series.push_back(d.mean());
+            }});
+        }
+    }
+    for (unsigned per_list : perList) {
+        core::RandChaseConfig cc;
+        cc.elemBytes = 16;
+        cc.useList = true;
+        cc.elemsPerList = per_list;
+        cc.bytesPerSpe = b.bytesPerSpe;
+        points.push_back({b.cfg, b.repeat, [cc](cell::CellSystem &sys) {
+            return core::runRandChase(sys, cc);
+        }});
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    stats::Table table({"mode", "elem", "GB/s(mean)", "GB/s(min)",
+                        "GB/s(max)"});
+    stats::SeriesChart chart("Rand B: gather mean GB/s vs element size",
+                             xlabels);
+    auto d = dists.begin();
+    for (bool use_list : {false, true}) {
+        const char *mode = use_list ? "DMA-list" : "elem-GET";
+        std::vector<double> series;
+        for (auto e : elems) {
+            series.push_back(d->mean());
             table.addRow({mode, core::elemLabel(e),
-                          stats::Table::num(d.mean()),
-                          stats::Table::num(d.min()),
-                          stats::Table::num(d.max())});
+                          stats::Table::num(d->mean()),
+                          stats::Table::num(d->min()),
+                          stats::Table::num(d->max())});
+            ++d;
         }
         chart.addSeries(mode, series);
     }
@@ -60,24 +83,14 @@ run(core::ExperimentContext &b)
     b.print(chart.render());
     b.printf("\n");
 
-    // List-length sweep: longer lists amortize the command header and
-    // deepen the gather pipeline until the LS landing slots cap it.
     stats::Table depth({"per-list", "GB/s(mean)", "GB/s(min)",
                         "GB/s(max)"});
-    for (unsigned per_list : {4u, 16u, 64u, 256u, 1024u}) {
-        core::RandChaseConfig cc;
-        cc.elemBytes = 16;
-        cc.useList = true;
-        cc.elemsPerList = per_list;
-        cc.bytesPerSpe = b.bytesPerSpe;
-        auto d = core::repeatRuns(b.cfg, b.repeat,
-                                  [&](cell::CellSystem &sys) {
-            return core::runRandChase(sys, cc);
-        }, b.par);
+    for (unsigned per_list : perList) {
         depth.addRow({std::to_string(per_list),
-                      stats::Table::num(d.mean()),
-                      stats::Table::num(d.min()),
-                      stats::Table::num(d.max())});
+                      stats::Table::num(d->mean()),
+                      stats::Table::num(d->min()),
+                      stats::Table::num(d->max())});
+        ++d;
     }
     b.emit(depth, "list_depth");
 

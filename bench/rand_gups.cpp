@@ -37,42 +37,23 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
-    // "tsize", not "table": the JSON report stamps every point with
-    // the emitted table's name under the key "table".
-    stats::Table table({"tsize", "elem", "GB/s(mean)", "GB/s(min)",
-                        "GB/s(max)", "MUP/s(mean)"});
-    stats::SeriesChart chart("Rand A: GUPS mean GB/s vs update granule",
-                             xlabels);
+    // One batch: the GUPS sweep's (table, granule) points, then the
+    // row-timing points (table, timing off/on) at 64 B granules.
+    std::vector<core::BatchPoint> points;
     for (const auto &tp : tables) {
-        std::vector<double> series;
         for (auto e : elems) {
             core::RandGupsConfig gc;
             gc.elemBytes = e;
             gc.tableBytes = tp.bytes;
             gc.bytesPerSpe = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({b.cfg, b.repeat, [gc](cell::CellSystem &sys) {
                 return core::runRandGups(sys, gc);
-            }, b.par);
-            series.push_back(d.mean());
-            // One update moves 2*elem bytes (GET + PUT).
-            double mups = d.mean() * 1e9 / (2.0 * e) / 1e6;
-            table.addRow({tp.label, core::elemLabel(e),
-                          stats::Table::num(d.mean()),
-                          stats::Table::num(d.min()),
-                          stats::Table::num(d.max()),
-                          stats::Table::num(mups)});
+            }});
         }
-        chart.addSeries(tp.label, series);
     }
-    b.emit(table, "gups");
-    b.print(chart.render());
-    b.printf("\n");
-
     // Row-buffer sensitivity: the identical update stream with the
     // timing row model off vs on (open-page: every random update pays
     // precharge+activate, a streaming access pattern would not).
-    stats::Table rows({"row timing", "tsize", "GB/s(mean)"});
     for (const auto &tp : tables) {
         for (bool timing : {false, true}) {
             auto cfg = b.cfg;
@@ -82,12 +63,45 @@ run(core::ExperimentContext &b)
             gc.elemBytes = 64;
             gc.tableBytes = tp.bytes;
             gc.bytesPerSpe = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            points.push_back({cfg, b.repeat, [gc](cell::CellSystem &sys) {
                 return core::runRandGups(sys, gc);
-            }, b.par);
+            }});
+        }
+    }
+    const auto dists = core::runBatch(points, b.par);
+
+    // "tsize", not "table": the JSON report stamps every point with
+    // the emitted table's name under the key "table".
+    stats::Table table({"tsize", "elem", "GB/s(mean)", "GB/s(min)",
+                        "GB/s(max)", "MUP/s(mean)"});
+    stats::SeriesChart chart("Rand A: GUPS mean GB/s vs update granule",
+                             xlabels);
+    auto d = dists.begin();
+    for (const auto &tp : tables) {
+        std::vector<double> series;
+        for (auto e : elems) {
+            series.push_back(d->mean());
+            // One update moves 2*elem bytes (GET + PUT).
+            double mups = d->mean() * 1e9 / (2.0 * e) / 1e6;
+            table.addRow({tp.label, core::elemLabel(e),
+                          stats::Table::num(d->mean()),
+                          stats::Table::num(d->min()),
+                          stats::Table::num(d->max()),
+                          stats::Table::num(mups)});
+            ++d;
+        }
+        chart.addSeries(tp.label, series);
+    }
+    b.emit(table, "gups");
+    b.print(chart.render());
+    b.printf("\n");
+
+    stats::Table rows({"row timing", "tsize", "GB/s(mean)"});
+    for (const auto &tp : tables) {
+        for (bool timing : {false, true}) {
             rows.addRow({timing ? "on" : "off", tp.label,
-                         stats::Table::num(d.mean())});
+                         stats::Table::num(d->mean())});
+            ++d;
         }
     }
     b.emit(rows, "row_timing");

@@ -25,18 +25,48 @@ peakFor(const core::ExperimentContext &b, core::SpeSpeMode, unsigned n)
     return n * b.cfg.rampPeakGBps();
 }
 
+/**
+ * The batch of one SPE-to-SPE figure: for DMA-elem then DMA-list, one
+ * point per (SPE count, element size), in that order.
+ */
+inline std::vector<stats::Distribution>
+runSpeSpeBatch(core::ExperimentContext &b, core::SpeSpeMode mode,
+               const std::vector<unsigned> &counts)
+{
+    std::vector<core::BatchPoint> points;
+    for (bool use_list : {false, true}) {
+        for (unsigned n : counts) {
+            for (auto e : core::elemSweepSizes()) {
+                core::SpeSpeConfig sc;
+                sc.mode = mode;
+                sc.numSpes = n;
+                sc.elemBytes = e;
+                sc.useList = use_list;
+                sc.bytesPerStream = b.bytesPerSpe;
+                points.push_back({b.cfg, b.repeat,
+                                  [sc](cell::CellSystem &sys) {
+                    return core::runSpeSpe(sys, sc);
+                }});
+            }
+        }
+    }
+    return core::runBatch(points, b.par);
+}
+
 /** Figures 12 / 15: mean bandwidth sweep for 2/4/8 SPEs, elem & list. */
 inline int
 runSpeSpeSweep(core::ExperimentContext &b, const char *figure,
                core::SpeSpeMode mode)
 {
     const auto elems = core::elemSweepSizes();
-    const unsigned counts[] = {2, 4, 8};
+    const std::vector<unsigned> counts = {2, 4, 8};
 
     std::vector<std::string> xlabels;
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    const auto dists = runSpeSpeBatch(b, mode, counts);
+    auto d = dists.begin();
     for (bool use_list : {false, true}) {
         stats::Table table({"mode", "spes", "elem", "GB/s(mean)",
                             "GB/s(min)", "GB/s(max)"});
@@ -47,22 +77,13 @@ runSpeSpeSweep(core::ExperimentContext &b, const char *figure,
         for (unsigned n : counts) {
             std::vector<double> series;
             for (auto e : elems) {
-                core::SpeSpeConfig sc;
-                sc.mode = mode;
-                sc.numSpes = n;
-                sc.elemBytes = e;
-                sc.useList = use_list;
-                sc.bytesPerStream = b.bytesPerSpe;
-                auto d = core::repeatRuns(b.cfg, b.repeat,
-                                          [&](cell::CellSystem &sys) {
-                    return core::runSpeSpe(sys, sc);
-                }, b.par);
-                series.push_back(d.mean());
+                series.push_back(d->mean());
                 table.addRow({use_list ? "DMA-list" : "DMA-elem",
                               std::to_string(n), core::elemLabel(e),
-                              stats::Table::num(d.mean()),
-                              stats::Table::num(d.min()),
-                              stats::Table::num(d.max())});
+                              stats::Table::num(d->mean()),
+                              stats::Table::num(d->min()),
+                              stats::Table::num(d->max())});
+                ++d;
             }
             chart.addSeries(util::format("%u SPEs", n), series);
         }
@@ -88,6 +109,8 @@ runSpeSpeDistribution(core::ExperimentContext &b, const char *figure,
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    const auto dists = runSpeSpeBatch(b, mode, {8});
+    auto d = dists.begin();
     for (bool use_list : {false, true}) {
         stats::Table table({"mode", "elem", "min", "max", "median",
                             "mean"});
@@ -97,25 +120,16 @@ runSpeSpeDistribution(core::ExperimentContext &b, const char *figure,
             xlabels);
         std::vector<double> mins, meds, maxs;
         for (auto e : elems) {
-            core::SpeSpeConfig sc;
-            sc.mode = mode;
-            sc.numSpes = 8;
-            sc.elemBytes = e;
-            sc.useList = use_list;
-            sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
-                return core::runSpeSpe(sys, sc);
-            }, b.par);
-            mins.push_back(d.min());
-            meds.push_back(d.median());
-            maxs.push_back(d.max());
+            mins.push_back(d->min());
+            meds.push_back(d->median());
+            maxs.push_back(d->max());
             table.addRow({use_list ? "DMA-list" : "DMA-elem",
                           core::elemLabel(e),
-                          stats::Table::num(d.min()),
-                          stats::Table::num(d.max()),
-                          stats::Table::num(d.median()),
-                          stats::Table::num(d.mean())});
+                          stats::Table::num(d->min()),
+                          stats::Table::num(d->max()),
+                          stats::Table::num(d->median()),
+                          stats::Table::num(d->mean())});
+            ++d;
         }
         chart.addSeries("min", mins);
         chart.addSeries("median", meds);

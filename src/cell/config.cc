@@ -1,5 +1,7 @@
 #include "cell/config.hh"
 
+#include <climits>
+
 #include "sim/logging.hh"
 #include "util/strings.hh"
 
@@ -110,17 +112,21 @@ void
 CellConfig::registerOptions(util::Options &opts)
 {
     opts.addDouble("cpu-ghz", 2.1, "CPU clock in GHz");
-    opts.addUint("chips", 1, "Cell chips with active SPEs (1-16)");
+    // Fields cast to unsigned are bounded so a value past 2^32 fails
+    // the parse instead of wrapping (--chips 4294967297 ran 1 chip).
+    const std::uint64_t u32 = UINT_MAX;
+    opts.addUint("chips", 1, "Cell chips with active SPEs (1-16)", u32);
     opts.addUint("blades", 0,
-                 "blades holding the chips (0 = two chips per blade)");
-    opts.addUint("spes", 8, "number of SPEs");
-    opts.addUint("rings", 4, "EIB data rings");
+                 "blades holding the chips (0 = two chips per blade)",
+                 u32);
+    opts.addUint("spes", 8, "number of SPEs", u32);
+    opts.addUint("rings", 4, "EIB data rings", u32);
     opts.addUint("eib-cmd-latency", 20, "EIB command phase, bus cycles");
-    opts.addUint("mfc-queue-depth", 16, "MFC command queue entries");
+    opts.addUint("mfc-queue-depth", 16, "MFC command queue entries", u32);
     opts.addUint("mfc-mem-tokens", 18,
-                 "MFC outstanding 128B lines to main memory");
+                 "MFC outstanding 128B lines to main memory", u32);
     opts.addUint("mfc-ls-lines", 64,
-                 "MFC outstanding 128B lines to LS apertures");
+                 "MFC outstanding 128B lines to LS apertures", u32);
     opts.addUint("dma-elem-overhead", 24,
                  "MFC issue occupancy per DMA command, bus cycles");
     opts.addUint("dma-list-elem-overhead", 2,
@@ -169,7 +175,8 @@ CellConfig::registerOptions(util::Options &opts)
                  "max retained trace records per kind (0 = unbounded)");
     opts.addUint("sim-jobs", 1,
                  "worker threads for per-chip parallel simulation "
-                 "(result-neutral; 0 = one per chip)");
+                 "(result-neutral; 0 = one per chip)",
+                 u32);
     opts.addBool("sim-profile", false,
                  "book per-component event counts and self-time into "
                  "the report");

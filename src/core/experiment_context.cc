@@ -1,6 +1,7 @@
 #include "core/experiment_context.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 
 #include "core/result_cache.hh"
@@ -27,9 +28,10 @@ ExperimentContext::ExperimentContext(std::string prog,
                    "canonical config, must match the experiment's "
                    "registration");
     opts.addUint("jobs", 0,
-                 "worker threads for the seed sweep (0 = one per "
-                 "hardware thread; results are identical for any "
-                 "value)");
+                 "worker threads for the experiment's runs, every "
+                 "point and seed in one batch (0 = one per hardware "
+                 "thread; results are identical for any value)",
+                 UINT_MAX);
     opts.addBool("csv", false, "also emit CSV after the table");
     opts.addString("json", "",
                    "write a machine-readable JSON report (config, "

@@ -1,6 +1,5 @@
 #include "core/experiment_registry.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <optional>
 
@@ -78,11 +77,11 @@ runExperimentCli(const std::string &name, int argc,
     ExperimentContext ctx(e->name, e->description, e->backend);
     if (!ctx.parse(argc, argv))
         return 1;
-    // One pool for the whole experiment: every point's seed sweep
-    // reuses the same warm workers.  One job runs inline, no threads.
+    // One pool for the whole experiment, as wide as --jobs: its batch
+    // holds every point's runs, so all workers stay busy.  One job
+    // runs inline, no threads.
     std::optional<WorkerPool> pool;
-    const unsigned jobs =
-        std::min(WorkerPool::width(ctx.par.jobs), ctx.repeat.runs);
+    const unsigned jobs = WorkerPool::width(ctx.par.jobs);
     if (jobs > 1) {
         pool.emplace(jobs);
         ctx.par.pool = &*pool;

@@ -7,9 +7,9 @@
  * exactly as the paper does: bytes the benchmark moves (counting both
  * directions for copy) divided by elapsed time.
  *
- * Use core::repeatRuns() to execute a body over N placement-randomized
- * systems and obtain the min/max/median/mean distributions of
- * Figures 13 and 16.
+ * Use core::runBatch() (or core::repeatRuns() for one point) to
+ * execute a body over N placement-randomized systems and obtain the
+ * min/max/median/mean distributions of Figures 13 and 16.
  */
 
 #ifndef CELLBW_CORE_EXPERIMENTS_HH

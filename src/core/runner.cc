@@ -1,6 +1,8 @@
 #include "core/runner.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <climits>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -17,11 +19,12 @@ void
 RepeatSpec::registerOptions(util::Options &opts, unsigned defaultWarmup)
 {
     opts.addUint("runs", 10,
-                 "placement-randomized repetitions per point");
+                 "placement-randomized repetitions per point", UINT_MAX);
     opts.addUint("seed", 42, "base placement seed");
     opts.addUint("warmup", defaultWarmup,
                  "discarded leading repetitions per point (recorded "
-                 "runs start at seed + warmup)");
+                 "runs start at seed + warmup)",
+                 UINT_MAX);
 }
 
 bool
@@ -40,102 +43,102 @@ RepeatSpec::fromOptions(const util::Options &opts, std::string &err)
 
 void
 parallelFor(std::size_t n, const ParallelSpec &par,
-            const std::function<void(std::size_t)> &fn)
+            const std::function<void(std::size_t)> &fn,
+            std::size_t maxConcurrent)
 {
+    // Each lane runs the next unclaimed index until none is left, so
+    // at most `lanes` calls run at once on any pool.
+    const std::size_t lanes =
+        maxConcurrent ? std::min(n, maxConcurrent) : n;
     WorkerPool *pool = par.pool;
     std::optional<WorkerPool> scoped;
     const std::size_t width =
-        std::min<std::size_t>(WorkerPool::width(par.jobs), n);
+        std::min<std::size_t>(WorkerPool::width(par.jobs), lanes);
     if (!pool && width > 1)
         pool = &scoped.emplace(static_cast<unsigned>(width));
 
     std::mutex m;
     std::condition_variable cv;
-    std::size_t submitted = 0, done = 0, errIndex = n;
+    std::atomic<std::size_t> next{0};
+    std::size_t submitted = 0, finished = 0, errIndex = n;
     std::exception_ptr firstError;
-    auto fail = [&](std::size_t i, std::exception_ptr err) {
-        if (i < errIndex) {
-            errIndex = i;
-            firstError = err;
-        }
-    };
-    auto runTask = [&](std::size_t i) {
-        std::exception_ptr err;
-        try {
-            fn(i);
-        } catch (...) {
-            err = std::current_exception();
+    auto lane = [&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(m);
+                if (i < errIndex) {
+                    errIndex = i;
+                    firstError = std::current_exception();
+                }
+            }
         }
         std::lock_guard<std::mutex> lock(m);
-        if (err)
-            fail(i, err);
-        ++done;
+        ++finished;
         cv.notify_one();
     };
 
-    // A submit() refused mid-batch (the pool is shutting down) still
-    // waits out the tasks already accepted: they reference this frame.
-    try {
-        for (; submitted < n; ++submitted) {
-            if (pool)
-                pool->submit([&runTask, i = submitted] { runTask(i); });
-            else
-                runTask(submitted);
+    if (!pool) {
+        lane();
+    } else {
+        for (; submitted < lanes; ++submitted) {
+            try {
+                pool->submit([&lane] { lane(); });
+            } catch (...) {
+                // The pool is shutting down.  The lanes it accepted
+                // still run every index; with none accepted, none ran.
+                if (submitted == 0)
+                    throw;
+                break;
+            }
         }
-    } catch (...) {
-        std::lock_guard<std::mutex> lock(m);
-        fail(submitted, std::current_exception());
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return finished == submitted; });
     }
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return done == submitted; });
     if (firstError)
         std::rethrow_exception(firstError);
 }
 
-namespace
+std::vector<stats::Distribution>
+runBatch(const std::vector<BatchPoint> &points, const ParallelSpec &par)
 {
+    // Point p owns tasks [first[p], first[p + 1]): its warmup runs,
+    // then its recorded runs.  Task i of a point runs at seed + i, and
+    // each task fills its own slot, so the fold below sees the same
+    // samples in the same order for any width.
+    std::vector<std::size_t> first{0};
+    for (const BatchPoint &p : points) {
+        first.push_back(first.back() + std::size_t{p.spec.warmup} +
+                        p.spec.runs);
+    }
+    std::vector<double> samples(first.back(), 0.0);
+    parallelFor(samples.size(), par, [&](std::size_t t) {
+        const std::size_t p =
+            std::upper_bound(first.begin(), first.end(), t) -
+            first.begin() - 1;
+        const BatchPoint &pt = points[p];
+        const std::size_t i = t - first[p];
+        cell::CellSystem sys(pt.cfg, pt.spec.seed + i);
+        samples[t] = pt.body(sys);
+        if (i >= pt.spec.warmup && pt.spec.metrics)
+            sys.snapshotMetrics(*pt.spec.metrics);
+    });
 
-double
-runOne(const cell::CellConfig &cfg, const RepeatSpec &spec,
-       std::uint64_t seed, const ExperimentBody &body)
-{
-    cell::CellSystem sys(cfg, seed);
-    double sample = body(sys);
-    if (spec.metrics)
-        sys.snapshotMetrics(*spec.metrics);
-    return sample;
+    std::vector<stats::Distribution> dists(points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        for (std::size_t t = first[p] + points[p].spec.warmup;
+             t < first[p + 1]; ++t)
+            dists[p].add(samples[t]);
+    }
+    return dists;
 }
 
-} // namespace
-
 stats::Distribution
-repeatRuns(const cell::CellConfig &cfg, const RepeatSpec &requested,
+repeatRuns(const cell::CellConfig &cfg, const RepeatSpec &spec,
            const ExperimentBody &body, const ParallelSpec &par)
 {
-    // Warmup runs execute serially up front and are discarded (no
-    // sample, no metrics); the recorded sweep then starts at
-    // seed + warmup, so the recorded samples are exactly those of a
-    // warmup-free sweep based at that seed.
-    RepeatSpec spec = requested;
-    if (spec.warmup > 0) {
-        RepeatSpec discard = spec;
-        discard.metrics = nullptr;
-        for (unsigned w = 0; w < spec.warmup; ++w)
-            runOne(cfg, discard, spec.seed + w, body);
-        spec.seed += spec.warmup;
-        spec.warmup = 0;
-    }
-
-    // Each run fills its own slot; merging in seed order keeps the
-    // Distribution bit-identical to a serial sweep.
-    std::vector<double> samples(spec.runs, 0.0);
-    parallelFor(spec.runs, par, [&](std::size_t r) {
-        samples[r] = runOne(cfg, spec, spec.seed + r, body);
-    });
-    stats::Distribution dist;
-    for (double s : samples)
-        dist.add(s);
-    return dist;
+    return runBatch({{cfg, spec, body}}, par).front();
 }
 
 } // namespace cellbw::core

@@ -8,13 +8,17 @@
  * to physical SPE mappings" — the paper, Section 3.  repeatRuns() does
  * exactly that: N fresh systems, N placement seeds, one Distribution.
  *
- * The N runs are completely independent — each owns a private
- * CellSystem (event queue, RNG, memory model) — so repeatRuns() fans
- * them out with parallelFor(): on the caller's shared pool when
- * ParallelSpec::pool is set, otherwise on one scoped to the call.
- * Samples are merged in seed order regardless of which worker finished
- * first, so the resulting Distribution is bit-identical to a serial
- * sweep: --jobs only changes wall-clock time, never results.
+ * The runs are completely independent — each owns a private
+ * CellSystem (event queue, RNG, memory model) — and so are the points
+ * of a sweep.  An experiment therefore lists its points and hands them
+ * to runBatch(), which fans every point's runs out as ONE
+ * parallelFor(): on the caller's shared pool when ParallelSpec::pool
+ * is set, otherwise on one scoped to the call.  No worker waits for
+ * the slowest seed of a point before starting the next point.
+ * Samples are folded per point in seed order regardless of which
+ * worker finished first, so every Distribution is bit-identical to a
+ * serial sweep: --jobs only changes wall-clock time, never results.
+ * repeatRuns() is the one-point batch.
  */
 
 #ifndef CELLBW_CORE_RUNNER_HH
@@ -22,6 +26,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "cell/cell_system.hh"
 #include "stats/distribution.hh"
@@ -89,7 +94,7 @@ class WorkerPool;
 struct ParallelSpec
 {
     /**
-     * Worker threads for the seed sweep; 0 means
+     * Worker threads for the batch; 0 means
      * std::thread::hardware_concurrency().  With no @ref pool,
      * parallelFor() starts a pool of min(jobs, tasks) workers for the
      * call, or runs inline with no threads when that is 1.  Ignored
@@ -99,11 +104,11 @@ struct ParallelSpec
 
     /**
      * When set, runs are submitted to this pool instead of one scoped
-     * to the call — `cellbw run` points every point of an experiment
-     * here, and `cellbw suite` every experiment, so seed sweeps reuse
-     * warm workers and batch ACROSS experiments.  The caller blocks
-     * until its own runs complete; results stay bit-identical (merge
-     * is in seed order either way).
+     * to the call — `cellbw run` submits each experiment's batch
+     * here, and `cellbw suite` every experiment's, so seed sweeps
+     * reuse warm workers and batch ACROSS experiments.  The caller
+     * blocks until its own runs complete; results stay bit-identical
+     * (the fold is in seed order either way).
      */
     WorkerPool *pool = nullptr;
 
@@ -114,25 +119,42 @@ struct ParallelSpec
  * Run @p fn(0), ..., @p fn(n - 1), each exactly once, as described by
  * @p par: on its pool, else on a pool of min(width(jobs), n) workers
  * scoped to the call, else (width 1) inline on the calling thread.
+ * With @p maxConcurrent set, at most that many calls run at once, also
+ * on a shared pool wider than that (a scoped pool is no wider).
  * Returns once every call has finished.  If any call throws, the error
  * of the lowest failing index is rethrown after all of them are done,
  * so the outcome does not depend on the width either.  Calls may run
  * concurrently: each must write only its own slot of shared output.
  */
 void parallelFor(std::size_t n, const ParallelSpec &par,
-                 const std::function<void(std::size_t)> &fn);
+                 const std::function<void(std::size_t)> &fn,
+                 std::size_t maxConcurrent = 0);
 
 using ExperimentBody = std::function<double(cell::CellSystem &)>;
 
+/** One point of an experiment: its machine, its runs and its body. */
+struct BatchPoint
+{
+    cell::CellConfig cfg;
+    RepeatSpec spec;
+    ExperimentBody body;
+};
+
+/**
+ * Run every point's warmup and recorded runs as one parallelFor() and
+ * fold each point's samples into its Distribution, in point order.
+ * Run i of a point gets a fresh CellSystem at spec.seed + i; the first
+ * spec.warmup runs are discarded (no sample, no metrics), the rest
+ * snapshot their metrics into spec.metrics when it is set.  Samples
+ * fold in seed order, so the result is bit-identical for any width.
+ * Bodies may run concurrently and must not mutate shared state.
+ */
+std::vector<stats::Distribution>
+runBatch(const std::vector<BatchPoint> &points, const ParallelSpec &par);
+
 /**
  * Run @p body once per placement seed on a freshly constructed system
- * and collect the per-run GB/s samples.
- *
- * Unless @p par resolves to one job the runs execute concurrently, one
- * CellSystem per worker; @p body must therefore not mutate state
- * shared between invocations (all in-tree bodies only read their
- * config and return a bandwidth).  Output order is deterministic: sample i always comes
- * from seed + i.
+ * and collect the per-run GB/s samples: runBatch() of one point.
  */
 stats::Distribution repeatRuns(const cell::CellConfig &cfg,
                                const RepeatSpec &spec,

@@ -4,12 +4,13 @@
  *
  * This is the one scheduler for placement-seed sweeps.  `cellbw suite`
  * and `cellbw validate` run every selected experiment against ONE
- * WorkerPool: each experiment submits its runs here (via
- * ParallelSpec::pool) and waits for its own batch, so at any moment
- * the pool's N workers are busy with whatever runs are ready,
- * regardless of which experiment they belong to.  `cellbw run` owns
- * one pool for its single experiment, `cellbw serve` one for the
- * daemon, and a library call of repeatRuns() without a pool gets one
+ * WorkerPool: each experiment submits its batch of runs here (via
+ * ParallelSpec::pool) and waits for it, so at any moment the pool's
+ * N workers are busy with whatever runs are ready, regardless of
+ * which experiment they belong to.  `cellbw run` owns one pool of
+ * width(--jobs) workers for its single experiment, whose batch holds
+ * every point's runs; `cellbw serve` owns one for the daemon, and a
+ * library call of runBatch() or repeatRuns() without a pool gets one
  * scoped to that call.
  *
  * Tasks must be independent (the seed-sweep runs are: one private

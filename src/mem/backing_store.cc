@@ -19,22 +19,29 @@ BackingStore::BackingStore(std::uint64_t pageBytes)
 std::uint8_t *
 BackingStore::pageFor(EffAddr ea)
 {
-    std::uint64_t pn = ea / pageBytes_;
-    auto it = pages_.find(pn);
-    if (it == pages_.end()) {
-        auto page = std::make_unique<std::uint8_t[]>(pageBytes_);
-        std::memset(page.get(), 0, pageBytes_);
-        it = pages_.emplace(pn, std::move(page)).first;
+    const std::uint64_t pn = ea / pageBytes_;
+    if (pn >= pages_.size())
+        pages_.resize(pn + 1);
+    auto &page = pages_[pn];
+    if (!page) {
+        page = std::make_unique<std::uint8_t[]>(pageBytes_);  // zeroed
+        ++touched_;
     }
-    return it->second.get();
+    return page.get();
 }
 
 const std::uint8_t *
 BackingStore::pageForRead(EffAddr ea) const
 {
-    std::uint64_t pn = ea / pageBytes_;
-    auto it = pages_.find(pn);
-    return it == pages_.end() ? nullptr : it->second.get();
+    const std::uint64_t pn = ea / pageBytes_;
+    return pn < pages_.size() ? pages_[pn].get() : nullptr;
+}
+
+void
+BackingStore::clear()
+{
+    pages_.clear();
+    touched_ = 0;
 }
 
 void
@@ -44,7 +51,11 @@ BackingStore::write(EffAddr ea, const void *src, std::uint64_t size)
     while (size > 0) {
         std::uint64_t off = ea % pageBytes_;
         std::uint64_t chunk = std::min(size, pageBytes_ - off);
-        std::memcpy(pageFor(ea) + off, p, chunk);
+        // Zeros into a page that does not exist already read back as
+        // zeros: skip them, allocating nothing.
+        if (pageForRead(ea) || p[0] != 0 ||
+            std::memcmp(p, p + 1, chunk - 1) != 0)
+            std::memcpy(pageFor(ea) + off, p, chunk);
         ea += chunk;
         p += chunk;
         size -= chunk;
@@ -75,7 +86,8 @@ BackingStore::fill(EffAddr ea, std::uint8_t value, std::uint64_t size)
     while (size > 0) {
         std::uint64_t off = ea % pageBytes_;
         std::uint64_t chunk = std::min(size, pageBytes_ - off);
-        std::memset(pageFor(ea) + off, value, chunk);
+        if (value != 0 || pageForRead(ea))
+            std::memset(pageFor(ea) + off, value, chunk);
         ea += chunk;
         size -= chunk;
     }

@@ -14,7 +14,6 @@ MemorySystem::MemorySystem(std::string name, sim::EventQueue &eq,
                            const std::vector<sim::EventQueue *> &bankQueues)
     : sim::SimObject(std::move(name), eq),
       allocator_(params.pageBytes, std::max(params.numChips, 2u)),
-      store_(params.pageBytes),
       numBanks_(std::max(params.numChips, 2u))
 {
     for (unsigned b = 0; b < numBanks_; ++b) {

@@ -29,6 +29,8 @@ namespace cellbw::mem
 
 struct MemorySystemParams
 {
+    /** NUMA interleave page: the unit of bank placement.  The backing
+     *  store keeps its own, smaller page (BackingStore). */
     std::uint64_t pageBytes = 64 * util::KiB;
     DramBankParams bank0;
     DramBankParams bank1;

@@ -319,16 +319,25 @@ Mfc::tryIssueLines()
     // traffic is never head-of-line-blocked behind memory traffic or
     // vice versa.
     std::size_t attempts = activeCount_;
-    while (attempts-- > 0 && activeCount_ > 0) {
+    while (attempts > 0 && activeCount_ > 0) {
+        const bool memFull = memLinesInFlight_ >= params_.memoryTokens;
+        const bool lsFull = lsLinesInFlight_ >= params_.lsLines;
+        if ((memFull || activeLs_ == activeCount_) &&
+            (lsFull || activeLs_ == 0)) {
+            // Every active command waits on a full window, and windows
+            // fill only in this loop: the remaining attempts would all
+            // rotate, so rotate by their sum in one step.
+            activeRotate(attempts % activeCount_);
+            return;
+        }
+        --attempts;
         Command *c = active_[activeHead_];
 
         const ListElement &seg = c->segs[c->nextSeg];
         bool is_ls = seg.ea >= lsApertureBase;
-        if (is_ls ? (lsLinesInFlight_ >= params_.lsLines)
-                  : (memLinesInFlight_ >= params_.memoryTokens)) {
+        if (is_ls ? lsFull : memFull) {
             // Rotate and try another command.
-            activePopFront();
-            activePushBack(c);
+            activeRotate(1);
             continue;
         }
         activePopFront();

@@ -477,25 +477,54 @@ class Mfc : public sim::SimObject
     /**
      * Issued commands with lines left to send, in round-robin order:
      * a fixed-capacity ring (capacity = combined queue depth).
+     * activeLs_ counts the ones whose next line targets an LS
+     * aperture; the rest wait on memory tokens.
      */
     std::vector<Command *> active_;
     std::size_t activeHead_ = 0;
     std::size_t activeCount_ = 0;
+    std::size_t activeLs_ = 0;
+
+    static bool
+    nextLineIsLs(const Command &c)
+    {
+        return c.segs[c.nextSeg].ea >= lsApertureBase;
+    }
+
+    /** Ring index @p i positions past the head, wrapped. */
+    std::size_t
+    activeSlot(std::size_t i) const
+    {
+        std::size_t slot = activeHead_ + i;
+        return slot >= active_.size() ? slot - active_.size() : slot;
+    }
 
     Command *
     activePopFront()
     {
         Command *c = active_[activeHead_];
-        activeHead_ = (activeHead_ + 1) % active_.size();
+        activeHead_ = activeSlot(1);
         --activeCount_;
+        activeLs_ -= nextLineIsLs(*c);
         return c;
     }
 
     void
     activePushBack(Command *c)
     {
-        active_[(activeHead_ + activeCount_) % active_.size()] = c;
+        active_[activeSlot(activeCount_)] = c;
         ++activeCount_;
+        activeLs_ += nextLineIsLs(*c);
+    }
+
+    /** Move the first @p n commands to the back, keeping their order. */
+    void
+    activeRotate(std::size_t n)
+    {
+        for (; n > 0; --n) {
+            active_[activeSlot(activeCount_)] = active_[activeHead_];
+            activeHead_ = activeSlot(1);
+        }
     }
 
     Tick issueFreeAt_ = 0;

@@ -31,9 +31,10 @@ Options::add(const std::string &name, Kind kind, std::string def,
 
 void
 Options::addUint(const std::string &name, std::uint64_t def,
-                 const std::string &help)
+                 const std::string &help, std::uint64_t max)
 {
     add(name, Kind::Uint, std::to_string(def), help);
+    opts_.at(name).max = max;
 }
 
 void
@@ -85,7 +86,8 @@ Options::assign(const std::string &name, const std::string &value)
         // std::stoull would wrap "-1" to UINT64_MAX and accept "8x".
         switch (o.kind) {
           case Kind::Uint:
-            (void)parseUint64(value);
+            if (parseUint64(value) > o.max)
+                throw std::out_of_range("uint option too large");
             break;
           case Kind::Double: {
             // from_chars, not stod: stod follows LC_NUMERIC, and a

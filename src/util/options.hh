@@ -35,8 +35,11 @@ class Options
 
     /** @name Option registration (call before parse()). */
     /** @{ */
+    /** Values above @p max fail the parse (32-bit fields pass
+     *  UINT_MAX, so 2^32 cannot wrap to 0). */
     void addUint(const std::string &name, std::uint64_t def,
-                 const std::string &help);
+                 const std::string &help,
+                 std::uint64_t max = UINT64_MAX);
     void addDouble(const std::string &name, double def,
                    const std::string &help);
     void addBool(const std::string &name, bool def, const std::string &help);
@@ -111,6 +114,7 @@ class Options
         std::string defValue;
         bool set = false;
         bool resultNeutral = false;
+        std::uint64_t max = UINT64_MAX;     // Uint only
     };
 
     const Opt &find(const std::string &name, Kind kind) const;

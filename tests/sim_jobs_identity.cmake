@@ -3,7 +3,8 @@
 # value, on both the dual-chip partitioned engine (abl_dualchip) and
 # the single-chip legacy path (fig08_spe_mem, where the flag is a
 # no-op).  cluster_halo also runs its whole batch of runs serially
-# (--jobs 1) and three at a time (--jobs 3) to the same bytes.
+# (--jobs 1) and three at a time (--jobs 3) to the same bytes, and one
+# experiment of each single-chip batch shape does at --jobs 1 and 4.
 # `cellbw run` never attaches the result cache, so every invocation
 # below is a live simulation, not a replay.
 #
@@ -71,5 +72,19 @@ foreach(jobs 1 4)
               --json fig08_j${jobs}.json)
 endforeach()
 expect_identical(fig08_j1.json fig08_j4.json "fig08_spe_mem")
+
+# --- single-chip batches: every point x seed on 1 and 4 workers -----
+# One experiment per batch shape: a placement sweep (fig13), two
+# sections in one batch (rand_gups), mixed one-run and swept points
+# (tab01), kernels into slots (kernels_roofline) and one-run PPE
+# points (fig03).
+foreach(exp fig13_couples_dist rand_gups tab01_peaks kernels_roofline
+            fig03_ppe_l1)
+    foreach(jobs 1 4)
+        run_quiet(run ${exp} --quick --jobs ${jobs}
+                  --json ${exp}_j${jobs}.json)
+    endforeach()
+    expect_identical(${exp}_j1.json ${exp}_j4.json "${exp}")
+endforeach()
 
 message(STATUS "--sim-jobs and --jobs are byte-invisible in reports")

@@ -154,4 +154,11 @@ foreach(jobs -1 4294967296 x)
     endforeach()
 endforeach()
 
+# A 32-bit option must not wrap: --runs 4294967296 once ran 0 runs
+# per point and wrote a table of 0.00 GB/s with exit 0.
+run_cellbw(bigruns 1 run fig10_sync_sweep --quick --runs 4294967296)
+if(NOT bigruns_err MATCHES "bad value for --runs: '4294967296'")
+    message(FATAL_ERROR "run --runs 4294967296 message:\n${bigruns_err}")
+endif()
+
 message(STATUS "cellbw CLI error paths behave")

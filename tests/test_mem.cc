@@ -11,6 +11,7 @@
 #include "mem/memory_system.hh"
 #include "mem/page_allocator.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 using namespace cellbw;
 
@@ -66,6 +67,58 @@ TEST(BackingStore, FillAndClear)
 TEST(BackingStore, NonPow2PageSizeIsFatal)
 {
     EXPECT_THROW(mem::BackingStore(1000), sim::FatalError);
+}
+
+TEST(BackingStore, ScatteredSmallWritesAllocateFewPages)
+{
+    // The GUPS pattern: 4096 random 8 B updates over an 8 MiB table.
+    // With 64 KiB pages every page of the table gets touched (8 MiB);
+    // the store's own small page holds them in well under half that.
+    mem::BackingStore bs;
+    const std::uint64_t table = 8 * util::MiB;
+    sim::Rng rng(42);
+    for (unsigned i = 0; i < 4096; ++i) {
+        const std::uint64_t v = i;
+        bs.write(rng.uniformInt(0, table / 8 - 1) * 8, &v, sizeof(v));
+    }
+    EXPECT_LE(bs.touchedPages() * bs.pageBytes(), 4 * util::MiB);
+    EXPECT_GT(bs.touchedPages(), 0u);
+}
+
+TEST(BackingStore, ZerosIntoUnwrittenPagesAllocateNothing)
+{
+    mem::BackingStore bs;
+    const std::vector<std::uint8_t> zeros(3000, 0);
+    bs.write(0x4000, zeros.data(), zeros.size());
+    bs.fill(0x9000, 0, 5000);
+    EXPECT_EQ(bs.touchedPages(), 0u);
+    // Over a page that exists, zeros are data like any other byte.
+    const std::uint8_t ones[16] = {1, 1, 1, 1, 1, 1, 1, 1,
+                                   1, 1, 1, 1, 1, 1, 1, 1};
+    bs.write(0x4000, ones, sizeof(ones));
+    bs.write(0x4000, zeros.data(), 8);
+    bs.fill(0x4008, 0, 4);
+    EXPECT_EQ(bs.touchedPages(), 1u);
+    std::uint8_t out[16];
+    bs.read(0x4000, out, sizeof(out));
+    for (unsigned i = 0; i < 16; ++i)
+        EXPECT_EQ(out[i], i < 12 ? 0 : 1) << i;
+}
+
+TEST(BackingStore, ReadPastEveryWrittenPageAllocatesNothing)
+{
+    mem::BackingStore bs;
+    const std::uint8_t one = 1;
+    bs.write(0x2000, &one, 1);
+    ASSERT_EQ(bs.touchedPages(), 1u);
+    std::uint8_t buf[256];
+    bs.read(64 * util::MiB, buf, sizeof(buf));
+    bs.read(0x2000 + bs.pageBytes(), buf, sizeof(buf));
+    EXPECT_EQ(bs.byteAt(1ull << 39), 0);
+    for (auto b : buf)
+        EXPECT_EQ(b, 0);
+    EXPECT_EQ(bs.touchedPages(), 1u);
+    EXPECT_EQ(bs.byteAt(0x2000), 1);
 }
 
 /* ------------------------------------------------------------------ */

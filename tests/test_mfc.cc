@@ -513,3 +513,53 @@ TEST_F(MfcFixture, NoHandlerIsFatal)
     auto mfc = std::make_unique<spe::Mfc>("m", eq, clock, params, 0);
     EXPECT_THROW(mfc->get(0, 0x1000, 128, 0), sim::FatalError);
 }
+
+TEST_F(MfcFixture, FullWindowsKeepTheRoundRobinOrder)
+{
+    // Two memory tokens and three LS lines, so both windows fill while
+    // several commands are active.  The router sees every line as
+    // (ea, tick); the expected sequence is the one the rotate-by-one
+    // issue loop produced, and skipping a ring of blocked commands in
+    // one step must reproduce it exactly.  The mix reaches every early
+    // exit: all active commands memory-bound with the memory window
+    // full, all LS-bound with the LS window full (the long LS GET is
+    // alone at the end), and both windows full.  Line latencies vary
+    // with the address, so completions reorder.
+    params.memoryTokens = 2;
+    params.lsLines = 3;
+    params.elemOverheadBus = 2;
+    auto mfc = make();
+    std::vector<std::pair<EffAddr, Tick>> seen;
+    mfc->setLineHandler([&](spe::LineRequest &&req) {
+        seen.emplace_back(req.ea, eq.now());
+        eq.schedule(40 + (req.ea / 128) % 3 * 17, std::move(req.done));
+    });
+    const EffAddr ls = spe::lsApertureBase;
+    mfc->get(0x0000, 0x10000, 768, 0);              // memory GET
+    mfc->get(0x1000, ls + 0x4000, 1024, 1);         // LS GET
+    mfc->put(0x2000, 0x30000, 512, 2);              // memory PUT
+    mfc->getList(0x3000,
+                 {{0x50000, 128}, {ls + 0x6000, 128}, {0x50080, 128},
+                  {ls + 0x6080, 256}, {0x50100, 128}},
+                 3);                                // alternating list
+    mfc->get(0x4000, ls + 0x8000, 2048, 4);         // long LS GET
+    eq.run();
+    const std::vector<std::pair<EffAddr, Tick>> expected = {
+        {0x10000, 4}, {0x10080, 4}, {ls + 0x4000, 8},
+        {ls + 0x4080, 12}, {ls + 0x4100, 12}, {0x30000, 44},
+        {ls + 0x4180, 52}, {ls + 0x8000, 65}, {0x50000, 78},
+        {0x30080, 84}, {ls + 0x4200, 86}, {ls + 0x4280, 105},
+        {ls + 0x6000, 109}, {0x50080, 135}, {0x30100, 141},
+        {ls + 0x4300, 145}, {ls + 0x4380, 160}, {ls + 0x6080, 183},
+        {ls + 0x6100, 202}, {0x30180, 209}, {0x10100, 215},
+        {ls + 0x8080, 223}, {ls + 0x8100, 234}, {0x10180, 249},
+        {ls + 0x8180, 259}, {0x50100, 272}, {ls + 0x8200, 280},
+        {ls + 0x8280, 299}, {ls + 0x8300, 308}, {0x10200, 312},
+        {0x10280, 323}, {ls + 0x8380, 337}, {ls + 0x8400, 348},
+        {ls + 0x8480, 373}, {ls + 0x8500, 394}, {ls + 0x8580, 413},
+        {ls + 0x8600, 422}, {ls + 0x8680, 451}, {ls + 0x8700, 462},
+        {ls + 0x8780, 487},
+    };
+    EXPECT_EQ(seen, expected);
+    EXPECT_EQ(mfc->commandsCompleted(), 5u);
+}

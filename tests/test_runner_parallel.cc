@@ -1,4 +1,8 @@
-/** @file Serial-vs-parallel equivalence tests for core::repeatRuns. */
+/**
+ * @file
+ * Serial-vs-parallel equivalence tests for core::parallelFor,
+ * core::runBatch and core::repeatRuns.
+ */
 
 #include <gtest/gtest.h>
 
@@ -97,6 +101,115 @@ TEST(ParallelFor, ErrorIsRethrownAfterEveryTaskFinished)
         }
         EXPECT_EQ(what, "task 2") << "jobs=" << par.jobs;
         EXPECT_EQ(finished.load(), 6u) << "jobs=" << par.jobs;
+    }
+}
+
+TEST(ParallelFor, CapBoundsConcurrentCallsOnAnyPool)
+{
+    // k lanes on a 4-worker pool (shared or scoped) never overlap more
+    // than k calls, and still run every index exactly once.
+    core::WorkerPool pool(4);
+    for (std::size_t cap : {1u, 2u, 3u}) {
+        for (const auto &par : {core::ParallelSpec{0, &pool},
+                                core::ParallelSpec{4}}) {
+            std::atomic<unsigned> running{0}, peak{0};
+            std::vector<std::atomic<unsigned>> calls(24);
+            core::parallelFor(calls.size(), par, [&](std::size_t i) {
+                const unsigned now = running.fetch_add(1) + 1;
+                unsigned seen = peak.load();
+                while (now > seen && !peak.compare_exchange_weak(seen, now))
+                    ;
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                calls[i].fetch_add(1);
+                running.fetch_sub(1);
+            }, cap);
+            EXPECT_LE(peak.load(), cap) << "cap " << cap;
+            for (std::size_t i = 0; i < calls.size(); ++i)
+                EXPECT_EQ(calls[i].load(), 1u) << "cap " << cap;
+        }
+    }
+}
+
+TEST(RunBatch, EqualsOneRepeatRunsPerPoint)
+{
+    // Points with different machines, run counts and bodies: the one
+    // batch must give each point exactly the Distribution of its own
+    // repeatRuns() call, and the same metric totals, at any width and
+    // on a shared pool.
+    auto pointsWith = [](stats::MetricsRegistry *reg) {
+        std::vector<core::BatchPoint> points;
+        for (unsigned rings : {2u, 4u}) {
+            cell::CellConfig cfg;
+            cfg.eib.numRings = rings;
+            core::RepeatSpec spec{rings + 1, 42 + rings};
+            spec.metrics = reg;
+            points.push_back({cfg, spec, speSpeBody});
+        }
+        core::SpeMemConfig mc;
+        mc.numSpes = 2;
+        mc.bytesPerSpe = 128 * util::KiB;
+        core::RepeatSpec once{1, 7};
+        once.metrics = reg;
+        points.push_back({cell::CellConfig{}, once,
+                          [mc](cell::CellSystem &sys) {
+            return core::runSpeMem(sys, mc);
+        }});
+        return points;
+    };
+
+    stats::MetricsRegistry separate;
+    std::vector<stats::Distribution> expected;
+    for (const auto &p : pointsWith(&separate)) {
+        expected.push_back(core::repeatRuns(p.cfg, p.spec, p.body,
+                                            core::ParallelSpec::serial()));
+    }
+
+    core::WorkerPool pool(4);
+    for (const auto &par : {core::ParallelSpec{1}, core::ParallelSpec{2},
+                            core::ParallelSpec{4},
+                            core::ParallelSpec{0, &pool}}) {
+        stats::MetricsRegistry batched;
+        auto dists = core::runBatch(pointsWith(&batched), par);
+        ASSERT_EQ(dists.size(), expected.size());
+        for (std::size_t p = 0; p < dists.size(); ++p) {
+            EXPECT_EQ(dists[p].samples(), expected[p].samples())
+                << "jobs=" << par.jobs << " point " << p;
+        }
+        EXPECT_EQ(batched.names(), separate.names());
+        for (const auto &n : separate.names()) {
+            if (const auto *c = separate.findCounter(n)) {
+                EXPECT_EQ(c->value(), batched.findCounter(n)->value())
+                    << n;
+            }
+        }
+    }
+    EXPECT_EQ(separate.findCounter("sim.runs")->value(), 3u + 5u + 1u);
+}
+
+TEST(RunBatch, WarmupRunsShiftSeedsAndAreDiscarded)
+{
+    // In a batch too, (seed=s, warmup=w) records exactly the samples of
+    // (seed=s+w, warmup=0), and warmup runs book no metrics.
+    cell::CellConfig cfg;
+    stats::MetricsRegistry warmReg, shiftedReg;
+    core::RepeatSpec warm{3, 42, 2};
+    warm.metrics = &warmReg;
+    core::RepeatSpec shifted{3, 44};
+    shifted.metrics = &shiftedReg;
+    core::RepeatSpec other{2, 9};
+    auto dists = core::runBatch({{cfg, other, speSpeBody},
+                                 {cfg, warm, speSpeBody},
+                                 {cfg, shifted, speSpeBody}},
+                                core::ParallelSpec{4});
+    ASSERT_EQ(dists.size(), 3u);
+    EXPECT_EQ(dists[1].samples(), dists[2].samples());
+    EXPECT_EQ(dists[1].count(), 3u);
+    EXPECT_EQ(dists[0].count(), 2u);
+    EXPECT_EQ(warmReg.findCounter("sim.runs")->value(), 3u);
+    for (const auto &n : shiftedReg.names()) {
+        if (const auto *c = shiftedReg.findCounter(n)) {
+            EXPECT_EQ(c->value(), warmReg.findCounter(n)->value()) << n;
+        }
     }
 }
 

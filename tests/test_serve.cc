@@ -546,6 +546,11 @@ TEST(Serve, RejectsBadRequests)
     EXPECT_EQ(post(fx.port(), "/run",
                    "{\"experiment\":\"serve_test_exp\","
                    "\"args\":[\"--no-such-flag\"]}").status, 400);
+    // 2^32 runs would wrap to 0 in the 32-bit field.
+    EXPECT_EQ(post(fx.port(), "/run",
+                   "{\"experiment\":\"serve_test_exp\","
+                   "\"args\":[\"--runs\",\"4294967296\"]}").status,
+              400);
     auto raw = httpRoundTrip(fx.port(), "garbage\r\n\r\n");
     EXPECT_EQ(raw.status, 400);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <stdexcept>
 
 #include "util/align.hh"
@@ -191,6 +192,7 @@ TEST(Options, RejectsNegativeGarbageAndOverflowValues)
     auto fails = [](const char *arg) {
         Options o("prog", "desc");
         o.addUint("count", 5, "a count");
+        o.addUint("narrow", 5, "a 32-bit count", UINT_MAX);
         o.addDouble("rate", 1.5, "a rate");
         o.addBytes("size", 4096, "a size");
         const char *argv[] = {"prog", arg};
@@ -207,6 +209,12 @@ TEST(Options, RejectsNegativeGarbageAndOverflowValues)
     EXPECT_TRUE(fails("--count=18446744073709551616"));
     EXPECT_TRUE(fails("--size=-4K"));
     EXPECT_TRUE(fails("--size=17179869184G"));
+    // A bounded option rejects what its 32-bit field would truncate
+    // (2^32 read as 0, 2^32 + 1 as 1) and accepts the bound itself.
+    EXPECT_TRUE(fails("--narrow=4294967296"));
+    EXPECT_TRUE(fails("--narrow=4294967297"));
+    EXPECT_FALSE(fails("--narrow=4294967295"));
+    EXPECT_FALSE(fails("--count=4294967296"));
 }
 
 TEST(Options, UnknownOptionFailsParse)
