@@ -1,7 +1,6 @@
 #include "cell/cell_system.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -19,9 +18,8 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
     if (cfg_.numChips < 1) {
         sim::fatal("numChips must be at least 1");
     } else if (cfg_.numChips > kMaxChips) {
-        sim::fatal("numChips %u exceeds the flight handle's %u-bit chip "
-                   "field (max %u chips)", cfg_.numChips,
-                   32 - kChipShift, kMaxChips);
+        sim::fatal("numChips %u exceeds the validated maximum of %u",
+                   cfg_.numChips, kMaxChips);
     }
     if (cfg_.numSpes == 0 || cfg_.numSpes > slots)
         sim::fatal("numSpes must be 1..%u with %u chip(s)", slots,
@@ -63,14 +61,9 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
         memory_->links().setPartitioned(
             [this](unsigned c) { return &engine_->queue(c); },
             [this](unsigned src, unsigned dst, Tick when,
-                   mem::IoLink::CrossingFn fn) {
+                   sim::EventQueue::Callback fn) {
                 engine_->post(src, dst, when, std::move(fn));
             });
-        memory_->setPartitioned([this](unsigned src, unsigned dst,
-                                       Tick when,
-                                       mem::MemorySystem::CrossFn fn) {
-            engine_->post(src, dst, when, std::move(fn));
-        });
     }
     for (unsigned c = 0; c < cfg_.numChips; ++c) {
         eibs_.push_back(std::make_unique<eib::Eib>(
@@ -279,159 +272,169 @@ CellSystem::run()
     }
 }
 
+template <typename F>
+void
+CellSystem::crossTo(unsigned from, unsigned to, Tick when, F &&fn)
+{
+    if (engine_ && from != to)
+        engine_->post(from, to, when, std::forward<F>(fn));
+    else
+        queue(to).scheduleAt(when, std::forward<F>(fn));
+}
+
 void
 CellSystem::routeLine(spe::LineRequest &&req)
 {
     if (req.speIndex >= spes_.size())
         sim::panic("DMA line from unknown SPE %u", req.speIndex);
-    if (engine_) {
-        if (isLsEa(req.ea))
-            partLocalStore(std::move(req));
-        else
-            partMemory(std::move(req));
-    } else {
-        if (isLsEa(req.ea))
-            routeLocalStore(std::move(req));
-        else
-            routeMemory(std::move(req));
-    }
+    if (isLsEa(req.ea))
+        routeLocalStore(std::move(req));
+    else
+        routeMemory(std::move(req));
 }
 
 /**
- * Memory routing, single queue.  The line rides the issuing SPE's EIB
- * between its ramp and either the local MIC (bank on the same chip) or
- * the IOIF ramp (bank on the other chip).  With one chip the far bank
- * still exists (NUMA ablations) but its EIB is not simulated: crossing
- * costs the IOIF serialization only.
- *
- * Stages address the in-flight line by arena handle, so every closure
- * here is {this, handle} — inline-stored, allocation-free.
+ * Memory routing.  A line rides its SPE's EIB between the SPE's ramp
+ * and the MIC when the bank is on the issuing chip.  Otherwise it uses
+ * the IOIF ramp, serializes on every link of the route, and on the
+ * bank's chip rides that chip's EIB between the IOIF ramp and the MIC.
+ * The single-chip blade's far bank has no EIB: there the line goes
+ * straight between the bank and the link (memGetRead, memPutStore).
  */
 void
 CellSystem::routeMemory(spe::LineRequest &&req)
 {
-    unsigned bank = memory_->bankOf(req.ea);
-    unsigned spe_chip = chipOf(req.speIndex);
-    std::uint32_t bytes = req.bytes;
-    spe::Spe *s = spes_[req.speIndex].get();
-    bool isGet = req.dir == spe::DmaDir::Get;
+    const unsigned home = chipOf(req.speIndex);
+    Flight *f = acquireFlight(home, std::move(req));
+    f->bank = static_cast<std::uint8_t>(memory_->bankOf(f->req.ea));
+    f->crossing = f->bank != home;
 
-    std::uint32_t h = acquireFlight(0, std::move(req));
-    Flight &f = flight(h);
-    f.bank = static_cast<std::uint8_t>(bank);
-    f.srcChip = static_cast<std::uint8_t>(spe_chip);
-    f.crossing = (bank != spe_chip);
-
-    if (isGet) {
-        // Command phase to the controller, bank read, (IOIF crossing,)
-        // data ride home, LS write.
-        Tick cmd = cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus);
-        if (f.crossing)
-            cmd += memory_->ioLink().crossingLatency();
-        eq_->schedule(cmd, [this, h] { memGetAccess(h); });
+    if (f->req.dir == spe::DmaDir::Get) {
+        // Command phase to the bank's controller.  A crossing command
+        // pays every link of the route (latency only: commands are
+        // tiny).
+        Tick at = queue(home).now() +
+                  cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus) +
+                  memory_->links().pathLatency(home, f->bank);
+        crossTo(home, f->bank, at, [this, f] { memGetAccess(f); });
     } else {
-        // LS read, data ride out, (IOIF crossing,) bank write.
-        Tick ls_done = s->ls().reservePort(bytes);
-        eq_->scheduleAt(ls_done, [this, h] { memPutRide(h); });
+        // LS read, then the data rides out.
+        Tick ls_done =
+            spes_[f->req.speIndex]->ls().reservePort(f->req.bytes);
+        queue(home).scheduleAt(ls_done, [this, f] { memPutRide(f); });
     }
 }
 
 void
-CellSystem::memGetAccess(std::uint32_t h)
+CellSystem::memGetAccess(Flight *f)
 {
-    Flight &f = flight(h);
-    memory_->bank(f.bank).access(f.req.ea, f.req.bytes, false,
-                                 [this, h] { memGetData(h); });
+    memory_->bank(f->bank).access(f->req.ea, f->req.bytes, false,
+                                  [this, f] { memGetRead(f); });
 }
 
 void
-CellSystem::memGetData(std::uint32_t h)
+CellSystem::memGetRead(Flight *f)
 {
-    Flight &f = flight(h);
-    if (!f.crossing) {
-        memGetDeliver(h);
+    if (!f->crossing) {
+        memGetRide(f);
+    } else if (!engine_) {
+        memGetCross(f);     // the single-chip blade's far bank
+    } else {
+        eibs_[f->bank]->transfer(eib::micRamp, eib::ioif0Ramp,
+                                 f->req.bytes,
+                                 [this, f] { memGetCross(f); });
+    }
+}
+
+void
+CellSystem::memGetCross(Flight *f)
+{
+    // The line leaves the bank's chip: read its data now and carry it
+    // home in the payload.
+    memory_->store().read(f->req.ea, f->payload, f->req.bytes);
+    memory_->links().sendData(f->bank, f->home, f->req.bytes,
+                              [this, f] { memGetRide(f); });
+}
+
+void
+CellSystem::memGetRide(Flight *f)
+{
+    eib::RampPos from = f->crossing ? eib::ioif0Ramp : eib::micRamp;
+    eibs_[f->home]->transfer(from, rampOf(f->req.speIndex), f->req.bytes,
+                             [this, f] { memGetLand(f); });
+}
+
+void
+CellSystem::memGetLand(Flight *f)
+{
+    spe::Spe *s = spes_[f->req.speIndex].get();
+    Tick done_at = s->ls().reservePort(f->req.bytes);
+    if (!f->crossing)
+        memory_->store().read(f->req.ea, f->payload, f->req.bytes);
+    if (f->req.corrupt)
+        f->payload[0] ^= 0xA5;
+    s->ls().write(f->req.lsa, f->payload, f->req.bytes);
+    queue(f->home).scheduleAt(done_at, [this, f] { finishFlight(f); });
+}
+
+void
+CellSystem::memPutRide(Flight *f)
+{
+    eib::RampPos to = f->crossing ? eib::ioif0Ramp : eib::micRamp;
+    eibs_[f->home]->transfer(rampOf(f->req.speIndex), to, f->req.bytes,
+                             [this, f] { memPutLeave(f); });
+}
+
+void
+CellSystem::memPutLeave(Flight *f)
+{
+    spes_[f->req.speIndex]->ls().read(f->req.lsa, f->payload,
+                                      f->req.bytes);
+    if (f->req.corrupt)
+        f->payload[0] ^= 0xA5;
+    if (!f->crossing) {
+        memPutStore(f);
         return;
     }
-    // The data lane is named from chip 0's viewpoint: Inbound carries
-    // payloads toward chip 0.
-    auto lane = (f.srcChip == 0) ? mem::IoLink::Dir::Inbound
-                                 : mem::IoLink::Dir::Outbound;
-    memory_->ioLink().send(lane, f.req.bytes,
-                           [this, h] { memGetDeliver(h); });
+    memory_->links().sendData(f->home, f->bank, f->req.bytes,
+                              [this, f] { memPutStore(f); });
 }
 
 void
-CellSystem::memGetDeliver(std::uint32_t h)
+CellSystem::memPutStore(Flight *f)
 {
-    Flight &f = flight(h);
-    eib::RampPos local_ramp = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(local_ramp, rampOf(f.req.speIndex),
-                               f.req.bytes,
-                               [this, h] { memGetLand(h); });
-}
-
-void
-CellSystem::memGetLand(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    spe::Spe *s = spes_[f.req.speIndex].get();
-    Tick done_at = s->ls().reservePort(f.req.bytes);
-    std::uint8_t buf[spe::lineBytes];
-    memory_->store().read(f.req.ea, buf, f.req.bytes);
-    if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    s->ls().write(f.req.lsa, buf, f.req.bytes);
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    eq_->scheduleAt(done_at, std::move(done));
-}
-
-void
-CellSystem::memPutRide(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eib::RampPos local_ramp = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(rampOf(f.req.speIndex), local_ramp,
-                               f.req.bytes,
-                               [this, h] { memPutStore(h); });
-}
-
-void
-CellSystem::memPutStore(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    spe::Spe *s = spes_[f.req.speIndex].get();
-    std::uint8_t buf[spe::lineBytes];
-    s->ls().read(f.req.lsa, buf, f.req.bytes);
-    if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    memory_->store().write(f.req.ea, buf, f.req.bytes);
-    if (!f.crossing) {
-        memPutBank(h);
+    memory_->store().write(f->req.ea, f->payload, f->req.bytes);
+    if (f->crossing && engine_) {
+        eibs_[f->bank]->transfer(eib::ioif0Ramp, eib::micRamp,
+                                 f->req.bytes,
+                                 [this, f] { memPutAck(f); });
         return;
     }
-    auto lane = (f.bank == 0) ? mem::IoLink::Dir::Inbound
-                              : mem::IoLink::Dir::Outbound;
-    memory_->ioLink().send(lane, f.req.bytes,
-                           [this, h] { memPutBank(h); });
+    // The bank is on the issuing chip, or it is the single-chip
+    // blade's far bank: the write completes when the bank accepts it.
+    memory_->bank(f->bank).access(f->req.ea, f->req.bytes, true,
+                                  [this, f] { finishFlight(f); });
 }
 
 void
-CellSystem::memPutBank(std::uint32_t h)
+CellSystem::memPutAck(Flight *f)
 {
-    Flight &f = flight(h);
-    EffAddr ea = f.req.ea;
-    std::uint32_t bytes = f.req.bytes;
-    unsigned bank = f.bank;
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    memory_->bank(bank).access(ea, bytes, true, std::move(done));
+    Tick completion =
+        memory_->bank(f->bank).reserveAccess(f->req.ea, f->req.bytes, true);
+    // The write acknowledgment crosses back to the issuing chip
+    // (latency only, every link of the route).
+    crossTo(f->bank, f->home,
+            completion + memory_->links().pathLatency(f->bank, f->home),
+            [this, f] { finishFlight(f); });
 }
 
 /**
- * LS-to-LS routing, single queue.  Both SPEs live on the one chip, so
- * the transfer rides one EIB between the data-holding LS (remote for
- * GET, local for PUT) and the receiving LS.
+ * LS-to-LS routing.  The line is read from the data-holding LS (the
+ * peer's for a GET, the issuer's for a PUT), rides that SPE's EIB to
+ * the receiving SPE's ramp, or to the IOIF ramp when the two SPEs are
+ * on different chips, and lands in the receiving LS.  A crossing GET's
+ * command first crosses to the data-holding chip; a crossing PUT's
+ * completion acknowledgment crosses back to the issuing chip.
  */
 void
 CellSystem::routeLocalStore(spe::LineRequest &&req)
@@ -446,473 +449,90 @@ CellSystem::routeLocalStore(spe::LineRequest &&req)
     if (target_idx == req.speIndex)
         sim::fatal("DMA to the issuing SPE's own LS aperture");
 
-    bool isGet = req.dir == spe::DmaDir::Get;
-    unsigned issuer = req.speIndex;
+    const bool isGet = req.dir == spe::DmaDir::Get;
+    const unsigned issuer = req.speIndex;
+    const unsigned home = chipOf(issuer);
+    const unsigned peer = chipOf(target_idx);
 
-    std::uint32_t h = acquireFlight(0, std::move(req));
-    Flight &f = flight(h);
-    f.srcSpe = static_cast<std::uint16_t>(isGet ? target_idx : issuer);
-    f.dstSpe = static_cast<std::uint16_t>(isGet ? issuer : target_idx);
-    f.srcLsa = isGet ? off : f.req.lsa;
-    f.dstLsa = isGet ? f.req.lsa : off;
-    f.srcChip = 0;
-    f.crossing = false;
+    Flight *f = acquireFlight(home, std::move(req));
+    f->srcSpe = static_cast<std::uint16_t>(isGet ? target_idx : issuer);
+    f->dstSpe = static_cast<std::uint16_t>(isGet ? issuer : target_idx);
+    f->srcLsa = isGet ? off : f->req.lsa;
+    f->dstLsa = isGet ? f->req.lsa : off;
+    f->crossing = peer != home;
 
-    // Command latency to reach a remote MFC (GET only; PUT data
-    // originates locally).
-    Tick cmd =
-        isGet ? cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus) : 0;
-    eq_->schedule(cmd, [this, h] { lsRead(h); });
+    // The read starts at the data-holding SPE: a GET's command first
+    // reaches the remote MFC, crossing to its chip if need be; a PUT's
+    // data originates locally.
+    const unsigned src = isGet ? peer : home;
+    Tick at = queue(home).now() + memory_->links().pathLatency(home, src);
+    if (isGet)
+        at += cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus);
+    crossTo(home, src, at, [this, f] { lsRead(f); });
 }
 
 void
-CellSystem::lsRead(std::uint32_t h)
+CellSystem::lsRead(Flight *f)
 {
-    Flight &f = flight(h);
-    Tick read_done = spes_[f.srcSpe]->ls().reservePort(f.req.bytes);
-    eq_->scheduleAt(read_done, [this, h] { lsRide(h); });
+    Tick read_done = spes_[f->srcSpe]->ls().reservePort(f->req.bytes);
+    queue(chipOf(f->srcSpe)).scheduleAt(read_done,
+                                        [this, f] { lsRide(f); });
 }
 
 void
-CellSystem::lsRide(std::uint32_t h)
+CellSystem::lsRide(Flight *f)
 {
-    Flight &f = flight(h);
-    eibs_[f.srcChip]->transfer(rampOf(f.srcSpe), rampOf(f.dstSpe),
-                               f.req.bytes, [this, h] { lsLand(h); });
+    eib::RampPos to = f->crossing ? eib::ioif0Ramp : rampOf(f->dstSpe);
+    eibs_[chipOf(f->srcSpe)]->transfer(rampOf(f->srcSpe), to, f->req.bytes,
+                                       [this, f] {
+                                           if (f->crossing)
+                                               lsCross(f);
+                                           else
+                                               lsLand(f);
+                                       });
 }
 
 void
-CellSystem::lsLand(std::uint32_t h)
+CellSystem::lsCross(Flight *f)
 {
-    Flight &f = flight(h);
-    spe::Spe *src = spes_[f.srcSpe].get();
-    spe::Spe *dst = spes_[f.dstSpe].get();
-    Tick done_at = dst->ls().reservePort(f.req.bytes);
-    std::uint8_t buf[spe::lineBytes];
-    src->ls().read(f.srcLsa, buf, f.req.bytes);
-    if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    dst->ls().write(f.dstLsa, buf, f.req.bytes);
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    eq_->scheduleAt(done_at, std::move(done));
-}
-
-/**
- * Memory routing, partitioned (numChips >= 2).  Chip-local lines stay
- * entirely on the issuing chip's queue.  A crossing line's far-side
- * stages (the target chip's bank and EIB) run on the far partition and
- * must not touch the home chip's arena — the arena vector can grow
- * concurrently — so they carry their routing state ({ea, bytes, handle,
- * home and far chips}) and, on the way home, the 128-byte payload by
- * value inside the cross-partition message.  Multi-hop routes (other
- * blade) serialize on every link: LinkGraph::sendData re-posts from
- * each intermediate chip's partition.
- */
-void
-CellSystem::partMemory(spe::LineRequest &&req)
-{
-    unsigned bank = memory_->bankOf(req.ea);
-    unsigned sc = chipOf(req.speIndex);
-    bool crossing = (bank != sc);
-    bool isGet = req.dir == spe::DmaDir::Get;
-    std::uint32_t bytes = req.bytes;
-    EffAddr ea = req.ea;
-    spe::Spe *s = spes_[req.speIndex].get();
-
-    std::uint32_t h = acquireFlight(sc, std::move(req));
-    Flight &f = flight(h);
-    f.bank = static_cast<std::uint8_t>(bank);
-    f.srcChip = static_cast<std::uint8_t>(sc);
-    f.crossing = crossing;
-
-    if (isGet) {
-        Tick cmd = cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus);
-        if (!crossing) {
-            queue(sc).schedule(cmd, [this, h] { partMemGetAccess(h); });
-        } else {
-            // The command phase crosses to the bank's chip (latency
-            // only — commands are tiny — but it pays every link of the
-            // route).
-            const Tick L = memory_->links().pathLatency(sc, bank);
-            engine_->post(
-                sc, bank, queue(sc).now() + cmd + L,
-                sim::PartitionedEngine::ChannelFn(
-                    [this, ea, bytes, h, sc, bank] {
-                        partMemGetFar(ea, bytes, h, sc, bank);
-                    }));
-        }
-    } else {
-        Tick ls_done = s->ls().reservePort(bytes);
-        queue(sc).scheduleAt(ls_done, [this, h] { partMemPutRide(h); });
-    }
+    // The line leaves the data-holding chip: read the LS now and carry
+    // the line across in the payload.
+    spes_[f->srcSpe]->ls().read(f->srcLsa, f->payload, f->req.bytes);
+    memory_->links().sendData(chipOf(f->srcSpe), chipOf(f->dstSpe),
+                              f->req.bytes, [this, f] { lsArrive(f); });
 }
 
 void
-CellSystem::partMemGetAccess(std::uint32_t h)
+CellSystem::lsArrive(Flight *f)
 {
-    Flight &f = flight(h);
-    memory_->bank(f.bank).access(f.req.ea, f.req.bytes, false,
-                                 [this, h] { partMemGetRide(h); });
+    eibs_[chipOf(f->dstSpe)]->transfer(eib::ioif0Ramp, rampOf(f->dstSpe),
+                                       f->req.bytes,
+                                       [this, f] { lsLand(f); });
 }
 
 void
-CellSystem::partMemGetRide(std::uint32_t h)
+CellSystem::lsLand(Flight *f)
 {
-    Flight &f = flight(h);
-    eib::RampPos from = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(from, rampOf(f.req.speIndex), f.req.bytes,
-                               [this, h] { partMemGetLand(h); });
+    spe::Spe *dst = spes_[f->dstSpe].get();
+    Tick done_at = dst->ls().reservePort(f->req.bytes);
+    if (!f->crossing)
+        spes_[f->srcSpe]->ls().read(f->srcLsa, f->payload, f->req.bytes);
+    if (f->req.corrupt)
+        f->payload[0] ^= 0xA5;
+    dst->ls().write(f->dstLsa, f->payload, f->req.bytes);
+    // A crossing PUT lands on the far chip: its completion
+    // acknowledgment crosses back to the issuing chip.
+    const unsigned at = chipOf(f->dstSpe);
+    crossTo(at, f->home,
+            done_at + memory_->links().pathLatency(at, f->home),
+            [this, f] { finishFlight(f); });
 }
 
 void
-CellSystem::partMemGetLand(std::uint32_t h)
+CellSystem::finishFlight(Flight *f)
 {
-    Flight &f = flight(h);
-    spe::Spe *s = spes_[f.req.speIndex].get();
-    Tick done_at = s->ls().reservePort(f.req.bytes);
-    if (f.crossing) {
-        // The line's data came home in the flight's payload buffer.
-        if (f.req.corrupt)
-            f.payload[0] ^= 0xA5;
-        s->ls().write(f.req.lsa, f.payload, f.req.bytes);
-    } else {
-        std::uint8_t buf[spe::lineBytes];
-        memory_->store().read(f.req.ea, buf, f.req.bytes);
-        if (f.req.corrupt)
-            buf[0] ^= 0xA5;
-        s->ls().write(f.req.lsa, buf, f.req.bytes);
-    }
-    unsigned chip = f.srcChip;
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    queue(chip).scheduleAt(done_at, std::move(done));
-}
-
-void
-CellSystem::partMemGetFar(EffAddr ea, std::uint32_t bytes,
-                          std::uint32_t h, unsigned homeChip,
-                          unsigned farChip)
-{
-    memory_->bank(farChip).access(
-        ea, bytes, false, [this, ea, bytes, h, homeChip, farChip] {
-            partMemGetFarRide(ea, bytes, h, homeChip, farChip);
-        });
-}
-
-void
-CellSystem::partMemGetFarRide(EffAddr ea, std::uint32_t bytes,
-                              std::uint32_t h, unsigned homeChip,
-                              unsigned farChip)
-{
-    eibs_[farChip]->transfer(eib::micRamp, eib::ioif0Ramp, bytes,
-                             [this, ea, bytes, h, homeChip, farChip] {
-                                 partMemGetFarCross(ea, bytes, h,
-                                                    homeChip, farChip);
-                             });
-}
-
-void
-CellSystem::partMemGetFarCross(EffAddr ea, std::uint32_t bytes,
-                               std::uint32_t h, unsigned homeChip,
-                               unsigned farChip)
-{
-    // The data leaves the far chip here: read it out of the backing
-    // store now and let the crossing message carry it home by value
-    // (serializing on every link of the route back).
-    std::uint8_t buf[spe::lineBytes];
-    memory_->store().read(ea, buf, bytes);
-    memory_->links().sendData(farChip, homeChip, bytes,
-                              [this, h, bytes, buf] {
-                                  Flight &f = flight(h);
-                                  std::memcpy(f.payload, buf, bytes);
-                                  partMemGetHome(h);
-                              });
-}
-
-void
-CellSystem::partMemGetHome(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eibs_[f.srcChip]->transfer(eib::ioif0Ramp, rampOf(f.req.speIndex),
-                               f.req.bytes,
-                               [this, h] { partMemGetLand(h); });
-}
-
-void
-CellSystem::partMemPutRide(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eib::RampPos to = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(rampOf(f.req.speIndex), to, f.req.bytes,
-                               [this, h] {
-                                   if (flight(h).crossing)
-                                       partMemPutCross(h);
-                                   else
-                                       partMemPutStore(h);
-                               });
-}
-
-void
-CellSystem::partMemPutStore(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    spe::Spe *s = spes_[f.req.speIndex].get();
-    std::uint8_t buf[spe::lineBytes];
-    s->ls().read(f.req.lsa, buf, f.req.bytes);
-    if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    memory_->store().write(f.req.ea, buf, f.req.bytes);
-    EffAddr ea = f.req.ea;
-    std::uint32_t bytes = f.req.bytes;
-    unsigned bank = f.bank;
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    memory_->bank(bank).access(ea, bytes, true, std::move(done));
-}
-
-void
-CellSystem::partMemPutCross(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    std::uint8_t buf[spe::lineBytes];
-    spes_[f.req.speIndex]->ls().read(f.req.lsa, buf, f.req.bytes);
-    if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    EffAddr ea = f.req.ea;
-    std::uint32_t bytes = f.req.bytes;
-    unsigned home = f.srcChip;
-    unsigned far = f.bank;
-    memory_->links().sendData(
-        home, far, bytes, [this, ea, bytes, h, home, far, buf] {
-            // Far chip: land the data and ride the far EIB to the MIC.
-            memory_->store().write(ea, buf, bytes);
-            eibs_[far]->transfer(eib::ioif0Ramp, eib::micRamp, bytes,
-                                 [this, ea, bytes, h, home, far] {
-                                     partMemPutFarRide(ea, bytes, h,
-                                                       home, far);
-                                 });
-        });
-}
-
-void
-CellSystem::partMemPutFarRide(EffAddr ea, std::uint32_t bytes,
-                              std::uint32_t h, unsigned homeChip,
-                              unsigned farChip)
-{
-    Tick completion =
-        memory_->bank(farChip).reserveAccess(ea, bytes, true);
-    // The write acknowledgment crosses back to the issuing chip
-    // (latency only, every link of the route).
-    const Tick L = memory_->links().pathLatency(farChip, homeChip);
-    engine_->post(farChip, homeChip, completion + L,
-                  sim::PartitionedEngine::ChannelFn(
-                      [this, h] { finishFlight(h); }));
-}
-
-/**
- * LS-to-LS routing, partitioned.  Same-chip transfers stay on their
- * chip's queue.  Cross-chip GETs start on the data-holding chip (the
- * command crosses first); cross-chip PUTs read locally, cross with the
- * payload, and land through a temporary flight slot in the destination
- * chip's arena.
- */
-void
-CellSystem::partLocalStore(spe::LineRequest &&req)
-{
-    EffAddr rel = req.ea - lsEaBase;
-    auto target_idx = static_cast<unsigned>(rel / lsEaStride);
-    auto off = static_cast<LsAddr>(rel % lsEaStride);
-    if (target_idx >= spes_.size()) {
-        sim::fatal("DMA to LS aperture of SPE %u, which does not exist",
-                   target_idx);
-    }
-    if (target_idx == req.speIndex)
-        sim::fatal("DMA to the issuing SPE's own LS aperture");
-
-    bool isGet = req.dir == spe::DmaDir::Get;
-    unsigned issuer = req.speIndex;
-    unsigned ic = chipOf(issuer);
-    unsigned pc = chipOf(target_idx);
-    std::uint32_t bytes = req.bytes;
-
-    std::uint32_t h = acquireFlight(ic, std::move(req));
-    Flight &f = flight(h);
-    f.srcSpe = static_cast<std::uint16_t>(isGet ? target_idx : issuer);
-    f.dstSpe = static_cast<std::uint16_t>(isGet ? issuer : target_idx);
-    f.srcLsa = isGet ? off : f.req.lsa;
-    f.dstLsa = isGet ? f.req.lsa : off;
-    f.srcChip = static_cast<std::uint8_t>(ic);
-    f.crossing = (ic != pc);
-
-    if (!f.crossing) {
-        Tick cmd =
-            isGet ? cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus) : 0;
-        queue(ic).schedule(cmd, [this, h] { partLsRead(h); });
-    } else if (isGet) {
-        // The command crosses to the data-holding chip; everything the
-        // far side needs travels by value.
-        Tick cmd = cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus) +
-                   memory_->links().pathLatency(ic, pc);
-        std::uint16_t peer = f.srcSpe;
-        LsAddr peerLsa = f.srcLsa;
-        engine_->post(ic, pc, queue(ic).now() + cmd,
-                      sim::PartitionedEngine::ChannelFn(
-                          [this, peer, peerLsa, bytes, h, ic, pc] {
-                              Tick read_done =
-                                  spes_[peer]->ls().reservePort(bytes);
-                              queue(pc).scheduleAt(
-                                  read_done,
-                                  [this, peer, peerLsa, bytes, h, ic] {
-                                      partLsGetFarRideFrom(peer, peerLsa,
-                                                           bytes, h, ic);
-                                  });
-                          }));
-    } else {
-        queue(ic).schedule(0, [this, h] { partLsRead(h); });
-    }
-}
-
-void
-CellSystem::partLsRead(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    Tick read_done = spes_[f.srcSpe]->ls().reservePort(f.req.bytes);
-    queue(f.srcChip).scheduleAt(read_done,
-                                [this, h] { partLsRide(h); });
-}
-
-void
-CellSystem::partLsRide(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    if (!f.crossing) {
-        eibs_[f.srcChip]->transfer(rampOf(f.srcSpe), rampOf(f.dstSpe),
-                                   f.req.bytes,
-                                   [this, h] { partLsLand(h); });
-        return;
-    }
-    // Crossing PUT: the local read is done, ride to the IOIF ramp.
-    eibs_[f.srcChip]->transfer(rampOf(f.srcSpe), eib::ioif0Ramp,
-                               f.req.bytes,
-                               [this, h] { partLsPutCross(h); });
-}
-
-void
-CellSystem::partLsLand(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    spe::Spe *dst = spes_[f.dstSpe].get();
-    Tick done_at = dst->ls().reservePort(f.req.bytes);
-    if (f.crossing) {
-        // Crossing GET: the line came home in the payload buffer.
-        if (f.req.corrupt)
-            f.payload[0] ^= 0xA5;
-        dst->ls().write(f.dstLsa, f.payload, f.req.bytes);
-    } else {
-        std::uint8_t buf[spe::lineBytes];
-        spes_[f.srcSpe]->ls().read(f.srcLsa, buf, f.req.bytes);
-        if (f.req.corrupt)
-            buf[0] ^= 0xA5;
-        dst->ls().write(f.dstLsa, buf, f.req.bytes);
-    }
-    unsigned chip = f.srcChip;
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    queue(chip).scheduleAt(done_at, std::move(done));
-}
-
-void
-CellSystem::partLsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
-                                 std::uint32_t bytes, std::uint32_t h,
-                                 unsigned homeChip)
-{
-    // chipOf only reads the placement table, which is immutable once
-    // the system is built, so the far partition may call it.
-    unsigned peerChip = chipOf(peer);
-    eibs_[peerChip]->transfer(
-        rampOf(peer), eib::ioif0Ramp, bytes,
-        [this, peer, peerLsa, bytes, h, homeChip, peerChip] {
-            // The data leaves the peer chip: read the peer LS now and
-            // carry the line home inside the crossing message.
-            std::uint8_t buf[spe::lineBytes];
-            spes_[peer]->ls().read(peerLsa, buf, bytes);
-            memory_->links().sendData(peerChip, homeChip, bytes,
-                                      [this, h, bytes, buf] {
-                                          Flight &f = flight(h);
-                                          std::memcpy(f.payload, buf,
-                                                      bytes);
-                                          partLsGetHome(h);
-                                      });
-        });
-}
-
-void
-CellSystem::partLsGetHome(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eibs_[f.srcChip]->transfer(eib::ioif0Ramp, rampOf(f.dstSpe),
-                               f.req.bytes,
-                               [this, h] { partLsLand(h); });
-}
-
-void
-CellSystem::partLsPutCross(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    std::uint8_t buf[spe::lineBytes];
-    spes_[f.srcSpe]->ls().read(f.srcLsa, buf, f.req.bytes);
-    std::uint16_t dstSpe = f.dstSpe;
-    LsAddr dstLsa = f.dstLsa;
-    bool corrupt = f.req.corrupt;
-    std::uint32_t bytes = f.req.bytes;
-    unsigned home = f.srcChip;
-    unsigned dc = chipOf(f.dstSpe);
-    memory_->links().sendData(
-        home, dc, bytes,
-        [this, dstSpe, dstLsa, corrupt, bytes, h, home, dc, buf] {
-            // Destination chip: park the line in a local flight slot
-            // for the ride from the IOIF ramp to the target LS.
-            spe::LineRequest tmp{};
-            tmp.bytes = bytes;
-            tmp.corrupt = corrupt;
-            std::uint32_t h2 = acquireFlight(dc, std::move(tmp));
-            Flight &t = flight(h2);
-            t.dstSpe = dstSpe;
-            t.dstLsa = dstLsa;
-            t.srcChip = static_cast<std::uint8_t>(home);
-            std::memcpy(t.payload, buf, bytes);
-            eibs_[dc]->transfer(
-                eib::ioif0Ramp, rampOf(dstSpe), bytes,
-                [this, h2, h, home] { partLsPutFarLand(h2, h, home); });
-        });
-}
-
-void
-CellSystem::partLsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
-                             unsigned homeChip)
-{
-    Flight &t = flight(tempH);
-    unsigned dc = tempH >> kChipShift;
-    spe::Spe *dst = spes_[t.dstSpe].get();
-    Tick done_at = dst->ls().reservePort(t.req.bytes);
-    if (t.req.corrupt)
-        t.payload[0] ^= 0xA5;
-    dst->ls().write(t.dstLsa, t.payload, t.req.bytes);
-    releaseFlight(tempH);
-    // The completion acknowledgment crosses back to the issuing chip.
-    const Tick L = memory_->links().pathLatency(dc, homeChip);
-    engine_->post(dc, homeChip, done_at + L,
-                  sim::PartitionedEngine::ChannelFn(
-                      [this, homeH] { finishFlight(homeH); }));
-}
-
-void
-CellSystem::finishFlight(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
+    auto done = std::move(f->req.done);
+    releaseFlight(f);
     done();
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * The assembled machine: one PPE, up to eight SPEs, the EIB, the MIC
- * and IOIF, and two XDR banks — plus the DMA router that moves lines
- * between them.
+ * The assembled machine: one PPE, eight SPEs per chip on 1-16 chips,
+ * each chip's EIB and XDR bank (at least two banks, so one chip still
+ * sees its blade's second bank), the links between chips — plus the
+ * DMA router that moves lines between them.
  *
  * A CellSystem is built per experiment run: construction draws the
  * logical-to-physical SPE placement from the given seed (libspe 1.1
@@ -21,11 +22,22 @@
  * how many worker threads execute it, so reports are bit-identical for
  * any value.
  *
- * In-flight DMA lines live in a per-chip arena (Flight slots addressed
- * by index handles), so the routing stages capture {this, handle}
- * instead of moving a ~100-byte request through every closure: the
- * whole hot path schedules with inline-stored callbacks and recycles
- * storage instead of allocating.
+ * One set of routing stages serves both engines.  Each in-flight DMA
+ * line is a Flight: a slot in its home chip's arena (the issuing SPE's
+ * chip) whose address never changes, holding the request, the routing
+ * state and a 128-byte payload.  Every stage, on the home chip or on
+ * the far chip the line visits, captures {this, Flight *}, so the hot
+ * path schedules inline-stored callbacks and allocates nothing.  Only
+ * the home chip acquires and releases a flight; while the line is on
+ * the far chip, the home chip does not touch it.  A crossing line's
+ * data meets the backing store at the far stage: a GET reads it as the
+ * line leaves the bank's chip, a PUT writes it when the line arrives
+ * over the link.
+ *
+ * The single-chip blade still has the second chip's XDR bank behind
+ * the IOIF (the NUMA ablations) but not that chip's EIB: a line to the
+ * far bank pays the link and the bank only, and its write completes
+ * when the bank accepts it, with no acknowledgment crossing back.
  *
  * @code
  *   cell::CellConfig cfg;
@@ -67,12 +79,6 @@ constexpr EffAddr lsEaStride = 1ull << 24;
 class CellSystem
 {
   public:
-    /** Chip in the top handle bits so stages capture one word. */
-    static constexpr std::uint32_t kChipShift = 28;
-
-    /** The flight handle's chip field bounds the cluster size. */
-    static constexpr unsigned kMaxChips = 1u << (32 - kChipShift);
-
     CellSystem(const CellConfig &cfg, std::uint64_t placementSeed);
     ~CellSystem();
 
@@ -127,7 +133,7 @@ class CellSystem
 
     /**
      * Turn on event tracing: every MFC command and EIB packet from now
-     * on is recorded.  @return the recorder for CSV dumps / timelines.
+     * on is recorded.  @return the recorder for timelines and traces.
      */
     trace::Recorder &enableTracing();
 
@@ -197,19 +203,16 @@ class CellSystem
 
   private:
     /**
-     * An in-flight DMA line and its routing state, arena-resident.
-     * Stages address it by handle so closures stay inline-small; the
-     * payload buffer carries line data across chip boundaries, where
-     * the far side must not dereference the backing store or LS on the
-     * home chip's behalf.
+     * An in-flight DMA line: the request, its routing state and its
+     * payload.  Stages on either chip read everything from here.
      */
     struct Flight
     {
         spe::LineRequest req;
-        std::uint32_t next = 0;       ///< arena freelist link
+        Flight *next = nullptr;       ///< arena free-list link
+        std::uint8_t home = 0;        ///< the issuing SPE's chip
         std::uint8_t bank = 0;        ///< memory routing: target bank
-        std::uint8_t srcChip = 0;
-        bool crossing = false;
+        bool crossing = false;        ///< the line crosses a link
         std::uint16_t srcSpe = 0;     ///< LS routing: data-holding SPE
         std::uint16_t dstSpe = 0;     ///< LS routing: receiving SPE
         LsAddr srcLsa = 0;
@@ -217,58 +220,48 @@ class CellSystem
         std::uint8_t payload[spe::lineBytes];
     };
 
+    /** One chip's flights: allocated in chunks, never moved, recycled
+     *  through a free list. */
     class FlightArena
     {
       public:
-        static constexpr std::uint32_t kNone = ~std::uint32_t(0);
-
-        std::uint32_t
+        Flight *
         acquire()
         {
-            if (free_ == kNone) {
-                slots_.emplace_back();
-                return static_cast<std::uint32_t>(slots_.size() - 1);
+            if (!free_) {
+                chunks_.push_back(std::make_unique<Flight[]>(kChunk));
+                for (std::size_t i = 0; i < kChunk; ++i)
+                    release(&chunks_.back()[i]);
             }
-            std::uint32_t h = free_;
-            free_ = slots_[h].next;
-            return h;
+            Flight *f = free_;
+            free_ = f->next;
+            return f;
         }
 
         void
-        release(std::uint32_t h)
+        release(Flight *f)
         {
-            slots_[h].req = spe::LineRequest{};
-            slots_[h].next = free_;
-            free_ = h;
+            f->req = spe::LineRequest{};
+            f->next = free_;
+            free_ = f;
         }
 
-        Flight &operator[](std::uint32_t h) { return slots_[h]; }
-
       private:
-        std::vector<Flight> slots_;
-        std::uint32_t free_ = kNone;
+        static constexpr std::size_t kChunk = 32;
+        std::vector<std::unique_ptr<Flight[]>> chunks_;
+        Flight *free_ = nullptr;
     };
 
-    std::uint32_t
+    Flight *
     acquireFlight(unsigned chip, spe::LineRequest &&req)
     {
-        std::uint32_t h = arenas_[chip].acquire() |
-                          (chip << kChipShift);
-        flight(h).req = std::move(req);
-        return h;
+        Flight *f = arenas_[chip].acquire();
+        f->req = std::move(req);
+        f->home = static_cast<std::uint8_t>(chip);
+        return f;
     }
 
-    Flight &
-    flight(std::uint32_t h)
-    {
-        return arenas_[h >> kChipShift][h & ((1u << kChipShift) - 1)];
-    }
-
-    void
-    releaseFlight(std::uint32_t h)
-    {
-        arenas_[h >> kChipShift].release(h & ((1u << kChipShift) - 1));
-    }
+    void releaseFlight(Flight *f) { arenas_[f->home].release(f); }
 
     sim::EventQueue &
     queue(unsigned chip)
@@ -276,60 +269,35 @@ class CellSystem
         return engine_ ? engine_->queue(chip) : *eq_;
     }
 
-    void buildPlacement(std::uint64_t seed);
-    void routeLine(spe::LineRequest &&req);
+    /** Run @p fn at tick @p when on chip @p to, sent from chip @p from:
+     *  a cross-partition message between two partitions, else an event
+     *  on @p to's queue (the one queue of a single-chip system). */
+    template <typename F>
+    void crossTo(unsigned from, unsigned to, Tick when, F &&fn);
 
-    /** @name Single-queue routing stages (numChips == 1). */
+    void buildPlacement(std::uint64_t seed);
+
+    /** @name Routing stages.  Each takes the flight it moves. */
     /** @{ */
+    void routeLine(spe::LineRequest &&req);
     void routeMemory(spe::LineRequest &&req);
     void routeLocalStore(spe::LineRequest &&req);
-    void memGetAccess(std::uint32_t h);
-    void memGetData(std::uint32_t h);
-    void memGetDeliver(std::uint32_t h);
-    void memGetLand(std::uint32_t h);
-    void memPutRide(std::uint32_t h);
-    void memPutStore(std::uint32_t h);
-    void memPutBank(std::uint32_t h);
-    void lsRead(std::uint32_t h);
-    void lsRide(std::uint32_t h);
-    void lsLand(std::uint32_t h);
-    /** @} */
-
-    /** @name Partitioned routing stages (numChips >= 2).  Far-side
-     *        stages carry {home, far} chip indices by value: the far
-     *        partition must not read the home chip's arena. */
-    /** @{ */
-    void partMemory(spe::LineRequest &&req);
-    void partLocalStore(spe::LineRequest &&req);
-    void partMemGetAccess(std::uint32_t h);
-    void partMemGetRide(std::uint32_t h);
-    void partMemGetLand(std::uint32_t h);
-    void partMemPutRide(std::uint32_t h);
-    void partMemPutStore(std::uint32_t h);
-    void partMemGetFar(EffAddr ea, std::uint32_t bytes, std::uint32_t h,
-                       unsigned homeChip, unsigned farChip);
-    void partMemGetFarRide(EffAddr ea, std::uint32_t bytes,
-                           std::uint32_t h, unsigned homeChip,
-                           unsigned farChip);
-    void partMemGetFarCross(EffAddr ea, std::uint32_t bytes,
-                            std::uint32_t h, unsigned homeChip,
-                            unsigned farChip);
-    void partMemGetHome(std::uint32_t h);
-    void partMemPutCross(std::uint32_t h);
-    void partMemPutFarRide(EffAddr ea, std::uint32_t bytes,
-                           std::uint32_t h, unsigned homeChip,
-                           unsigned farChip);
-    void partLsRead(std::uint32_t h);
-    void partLsRide(std::uint32_t h);
-    void partLsLand(std::uint32_t h);
-    void partLsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
-                              std::uint32_t bytes, std::uint32_t h,
-                              unsigned homeChip);
-    void partLsGetHome(std::uint32_t h);
-    void partLsPutCross(std::uint32_t h);
-    void partLsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
-                          unsigned homeChip);
-    void finishFlight(std::uint32_t h);
+    void memGetAccess(Flight *f);
+    void memGetRead(Flight *f);
+    void memGetCross(Flight *f);
+    void memGetRide(Flight *f);
+    void memGetLand(Flight *f);
+    void memPutRide(Flight *f);
+    void memPutLeave(Flight *f);
+    void memPutStore(Flight *f);
+    void memPutAck(Flight *f);
+    void lsRead(Flight *f);
+    void lsRide(Flight *f);
+    void lsCross(Flight *f);
+    void lsArrive(Flight *f);
+    void lsLand(Flight *f);
+    /** Release @p f and run its completion (home chip). */
+    void finishFlight(Flight *f);
     /** @} */
 
     void verifyCompletion(const spe::Mfc::Completion &done);

@@ -190,12 +190,9 @@ CellConfig::fromOptions(const util::Options &opts)
     cfg.numChips = static_cast<unsigned>(opts.getUint("chips"));
     if (cfg.numChips < 1) {
         sim::fatal("--chips must be at least 1");
-    } else if (cfg.numChips > 16) {
-        // The flight arena packs the chip index into bits 28-31 of a
-        // 32-bit DMA handle (CellSystem::kChipShift), so the handle's
-        // chip field caps the cluster at 16 chips.
-        sim::fatal("--chips %u exceeds the flight handle's 4-bit chip "
-                   "field (max 16 chips)", cfg.numChips);
+    } else if (cfg.numChips > kMaxChips) {
+        sim::fatal("--chips %u exceeds the validated maximum of %u chips",
+                   cfg.numChips, kMaxChips);
     }
     cfg.numBlades = static_cast<unsigned>(opts.getUint("blades"));
     {

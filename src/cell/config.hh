@@ -40,6 +40,9 @@ enum class TaskPlacement
     Locality,    ///< run each task on the chip that owns its pages
 };
 
+/** The validated range of numChips (--chips): 1 to 16 chips. */
+constexpr unsigned kMaxChips = 16;
+
 struct CellConfig
 {
     sim::ClockSpec clock;
@@ -52,8 +55,7 @@ struct CellConfig
      * conclusion's warning that cross-chip SPE pairs are "limited to
      * 7 GB/s" through the IOIF.  Beyond 2 the machine becomes a
      * cluster: chips pair up on blades (eib::ClusterShape) joined by
-     * inter-blade links; the ceiling is the flight handle's 4-bit chip
-     * field (cell::CellSystem::kMaxChips = 16).
+     * inter-blade links, up to kMaxChips.
      */
     unsigned numChips = 1;
 

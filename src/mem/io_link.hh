@@ -31,6 +31,9 @@ struct IoLinkParams
 class IoLink : public sim::SimObject
 {
   public:
+    /** Lanes, named from the link's lower-numbered chip: Outbound
+     *  carries data away from it, Inbound toward it (on the blade's
+     *  IOIF, away from and toward chip 0). */
     enum class Dir { Outbound = 0, Inbound = 1 };
 
     IoLink(std::string name, sim::EventQueue &eq, const IoLinkParams &p);
@@ -41,24 +44,20 @@ class IoLink : public sim::SimObject
      * Partitioned-simulation hook (see cell/cell_system).  A crossing's
      * completion always belongs to the *destination* chip; when the
      * chips run on separate event queues, the hook carries the callback
-     * into the far partition instead of the local queue.  @p srcQueues
-     * names the queue each lane's senders run on (Outbound = chip 0,
-     * Inbound = chip 1), which is where the lane's reservation clock
-     * reads the current tick.
-     *
-     * The crossing callable is wider than an event callback: crossing
-     * DMA lines carry their 128-byte payload with them (matching
-     * sim::PartitionedEngine::ChannelFn).
+     * into the far partition instead of the local queue.  @p loQueue
+     * and @p hiQueue are the queues of the link's lower- and
+     * higher-numbered chip, which send on the Outbound and the Inbound
+     * lane respectively; a lane's reservation clock reads its sender's
+     * tick.
      */
-    using CrossingFn = util::InlineFunction<void(), 176>;
-    using RemotePost = std::function<void(Dir, Tick, CrossingFn)>;
+    using RemotePost = std::function<void(Dir, Tick, Callback)>;
 
     void
-    setPartitioned(sim::EventQueue *outboundSrc,
-                   sim::EventQueue *inboundSrc, RemotePost post)
+    setPartitioned(sim::EventQueue *loQueue, sim::EventQueue *hiQueue,
+                   RemotePost post)
     {
-        srcQueue_[static_cast<int>(Dir::Outbound)] = outboundSrc;
-        srcQueue_[static_cast<int>(Dir::Inbound)] = inboundSrc;
+        srcQueue_[static_cast<int>(Dir::Outbound)] = loQueue;
+        srcQueue_[static_cast<int>(Dir::Inbound)] = hiQueue;
         post_ = std::move(post);
     }
 
@@ -72,7 +71,7 @@ class IoLink : public sim::SimObject
     {
         const Tick arrival = reserveSend(dir, bytes);
         if (post_) [[unlikely]] {
-            post_(dir, arrival, CrossingFn(std::forward<F>(onDone)));
+            post_(dir, arrival, Callback(std::forward<F>(onDone)));
         } else {
             sim::TagScope tag(eventQueue(), sim::EventTag::IoLink);
             eventQueue().scheduleAt(arrival, std::forward<F>(onDone));

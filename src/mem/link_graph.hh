@@ -13,8 +13,11 @@
  * Data transfers serialize on every link of the path (each hop's
  * completion re-enters sendData from the intermediate chip, which keeps
  * each lane's reservation clock owned by its source partition under
- * --sim-jobs).  Commands and acks are latency-only and use
- * pathLatency() with a direct cross-partition post instead.
+ * --sim-jobs).  The DMA router's continuation is {router, flight}; each
+ * hop carries it by value inside a plain event callback, so a crossing
+ * line allocates nothing on any hop.  Commands and acks are
+ * latency-only and use pathLatency() with a direct cross-partition post
+ * instead.
  */
 
 #ifndef CELLBW_MEM_LINK_GRAPH_HH
@@ -22,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -87,7 +91,9 @@ class LinkGraph
     /**
      * Move @p bytes from chip @p from to chip @p to, serializing on
      * every link of the route; @p onDone fires when the tail arrives at
-     * @p to (on @p to's partition under --sim-jobs).
+     * @p to (on @p to's partition under --sim-jobs).  Each hop carries
+     * @p onDone by value, so a continuation of two words stays inside
+     * the event callback's inline window on every hop.
      */
     template <typename F>
     void
@@ -98,13 +104,12 @@ class LinkGraph
             h.link->send(h.lane, bytes, std::forward<F>(onDone));
             return;
         }
-        h.link->send(
-            h.lane, bytes,
-            [this, next = h.next, to, bytes,
-             onDone = IoLink::CrossingFn(
-                 std::forward<F>(onDone))]() mutable {
-                sendData(next, to, bytes, std::move(onDone));
-            });
+        h.link->send(h.lane, bytes,
+                     [this, next = h.next, to, bytes,
+                      onDone = std::decay_t<F>(
+                          std::forward<F>(onDone))]() mutable {
+                         sendData(next, to, bytes, std::move(onDone));
+                     });
     }
 
     /**
@@ -120,7 +125,7 @@ class LinkGraph
             e.link->setPartitioned(
                 queueOf(e.lo), queueOf(e.hi),
                 [post, lo = e.lo, hi = e.hi](IoLink::Dir d, Tick when,
-                                             IoLink::CrossingFn fn) {
+                                             IoLink::Callback fn) {
                     bool out = d == IoLink::Dir::Outbound;
                     post(out ? lo : hi, out ? hi : lo, when,
                          std::move(fn));

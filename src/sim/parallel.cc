@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <exception>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -28,7 +29,7 @@ PartitionedEngine::~PartitionedEngine() = default;
 
 void
 PartitionedEngine::post(unsigned src, unsigned dst, Tick when,
-                        ChannelFn fn)
+                        EventQueue::Callback fn)
 {
     if (src >= n_ || dst >= n_)
         panic("post between unknown partitions %u -> %u", src, dst);
@@ -136,6 +137,10 @@ PartitionedEngine::runWindowsThreaded(unsigned threads)
     std::atomic<Tick> window_end{0};
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> events{0};
+    // An event that throws ends its partition's window; the window's
+    // other partitions finish it, then run() rethrows the error of the
+    // lowest-numbered partition, the one a serial run stops at.
+    std::vector<std::exception_ptr> errors(n_);
     // Workers + the coordinator; two phases per window (start, finish).
     std::barrier<> sync(static_cast<std::ptrdiff_t>(threads) + 1);
 
@@ -143,22 +148,28 @@ PartitionedEngine::runWindowsThreaded(unsigned threads)
     workers.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {
         workers.emplace_back([this, w, threads, &sync, &window_end,
-                              &stop, &events] {
+                              &stop, &events, &errors] {
             for (;;) {
                 sync.arrive_and_wait();
                 if (stop.load(std::memory_order_relaxed))
                     return;
                 Tick we = window_end.load(std::memory_order_relaxed);
                 std::uint64_t local = 0;
-                for (unsigned p = w; p < n_; p += threads)
-                    local += queues_[p]->runUntil(we);
+                for (unsigned p = w; p < n_; p += threads) {
+                    try {
+                        local += queues_[p]->runUntil(we);
+                    } catch (...) {
+                        errors[p] = std::current_exception();
+                    }
+                }
                 events.fetch_add(local, std::memory_order_relaxed);
                 sync.arrive_and_wait();
             }
         });
     }
 
-    for (;;) {
+    std::exception_ptr failed;
+    while (!failed) {
         Tick tmin = nextTick();
         if (tmin == maxTick)
             break;
@@ -169,11 +180,19 @@ PartitionedEngine::runWindowsThreaded(unsigned threads)
         window_end.store(we, std::memory_order_relaxed);
         sync.arrive_and_wait();  // workers start the window
         sync.arrive_and_wait();  // workers finished the window
+        for (auto &e : errors) {
+            if (e) {
+                failed = e;
+                break;
+            }
+        }
     }
     stop.store(true, std::memory_order_relaxed);
     sync.arrive_and_wait();
     for (auto &t : workers)
         t.join();
+    if (failed)
+        std::rethrow_exception(failed);
     return events.load();
 }
 

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "util/inline_function.hh"
 
 namespace cellbw::sim
 {
@@ -42,14 +41,6 @@ namespace cellbw::sim
 class PartitionedEngine
 {
   public:
-    /**
-     * Cross-partition messages carry their continuation; crossing DMA
-     * lines additionally carry their 128-byte payload, so the inline
-     * window is sized for a this-pointer, a line of data, and a few
-     * words of routing state.
-     */
-    using ChannelFn = util::InlineFunction<void(), 176>;
-
     PartitionedEngine(unsigned partitions, Tick lookahead);
     ~PartitionedEngine();
 
@@ -67,12 +58,14 @@ class PartitionedEngine
      * (its queue's current event); panics if @p when violates the
      * lookahead safety rule.
      */
-    void post(unsigned src, unsigned dst, Tick when, ChannelFn fn);
+    void post(unsigned src, unsigned dst, Tick when, EventQueue::Callback fn);
 
     /**
      * Run every partition until no events or undelivered messages
      * remain.  @p threads worker threads execute the windows
-     * (1 = serial); results are identical for any value.
+     * (1 = serial); results are identical for any value.  If events
+     * throw, run() rethrows the error of the lowest-numbered partition
+     * that threw in the first failing window, for any @p threads.
      * @return total events processed across all partitions.
      */
     std::uint64_t run(unsigned threads);
@@ -96,7 +89,7 @@ class PartitionedEngine
         Tick when;
         std::uint64_t seq;
         unsigned src;
-        ChannelFn fn;
+        EventQueue::Callback fn;
     };
 
     /** Earliest pending event or undelivered message, or maxTick. */

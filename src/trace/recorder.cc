@@ -1,7 +1,6 @@
 #include "trace/recorder.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "stats/json_writer.hh"
 #include "util/strings.hh"
@@ -51,77 +50,6 @@ Recorder::setCapacity(std::size_t maxRecords)
                    eib_.begin() + static_cast<std::ptrdiff_t>(evict));
         eibDropped_ += evict;
     }
-}
-
-std::string
-Recorder::dmaCsv() const
-{
-    std::string out =
-        "enqueued,issued,completed,spe,dir,tag,bytes,list,proxy,fault\n";
-    for (const auto &r : dma_) {
-        out += util::format(
-            "%llu,%llu,%llu,%u,%s,%u,%u,%d,%d,%s\n",
-            (unsigned long long)r.enqueued, (unsigned long long)r.issued,
-            (unsigned long long)r.completed, r.spe,
-            r.dir == spe::DmaDir::Get ? "get" : "put", r.tag, r.bytes,
-            r.isList ? 1 : 0, r.isProxy ? 1 : 0, spe::toString(r.fault));
-    }
-    return out;
-}
-
-std::string
-Recorder::eibCsv() const
-{
-    std::string out =
-        "requested,granted,delivered,chip,ring,src,dst,bytes\n";
-    for (const auto &r : eib_) {
-        out += util::format(
-            "%llu,%llu,%llu,%u,%u,%u,%u,%u\n",
-            (unsigned long long)r.requested,
-            (unsigned long long)r.granted,
-            (unsigned long long)r.delivered, r.chip, r.ring, r.srcRamp,
-            r.dstRamp, r.bytes);
-    }
-    return out;
-}
-
-std::string
-Recorder::paraverExport(double nsPerTick) const
-{
-    // A trace with no records is an empty export: emitting the usual
-    // header would claim one task and a 0 ns duration, which Paraver
-    // tools reject (or worse, quietly accept).
-    if (dma_.empty())
-        return "";
-
-    // Header: #Paraver (date): duration_ns:resource:appl_list
-    Tick t1 = 0;
-    unsigned max_spe = 0;
-    for (const auto &r : dma_) {
-        t1 = std::max(t1, r.completed);
-        max_spe = std::max(max_spe, r.spe);
-    }
-    unsigned ntasks = max_spe + 1;
-    // Round, don't truncate: with sub-ns ticks a short record would
-    // otherwise collapse to a zero-length state.
-    auto ns = [&](Tick t) {
-        return static_cast<unsigned long long>(
-            std::llround(static_cast<double>(t) * nsPerTick));
-    };
-    std::string out = util::format(
-        "#Paraver (generated by cellbw):%llu_ns:1(%u):1:%u(",
-        ns(t1), ntasks, ntasks);
-    for (unsigned i = 0; i < ntasks; ++i)
-        out += util::format("%s1:%u", i ? "," : "", i + 1);
-    out += ")\n";
-    // State records: 1:cpu:appl:task:thread:begin:end:state
-    for (const auto &r : dma_) {
-        unsigned state = (r.dir == spe::DmaDir::Get) ? 1 : 2;
-        out += util::format("1:%u:1:%u:1:%llu:%llu:%u\n", r.spe + 1,
-                            r.spe + 1, ns(r.issued), ns(r.completed),
-                            state);
-    }
-    return out;
 }
 
 std::string

@@ -5,10 +5,9 @@
  * issue/complete timeline behind every number in the paper.
  *
  * Tracing is opt-in (CellSystem::enableTracing()) and adds no cost when
- * off.  Records can be dumped as CSV, rendered as an ASCII per-SPE
- * timeline, exported as a Paraver trace (.prv, the BSC tool the authors
- * would have used), or exported as a Chrome-trace JSON file that loads
- * straight into chrome://tracing or https://ui.perfetto.dev.
+ * off.  Records can be rendered as an ASCII per-SPE timeline or
+ * exported as a Chrome-trace JSON file that loads straight into
+ * chrome://tracing or https://ui.perfetto.dev.
  *
  * Long runs record millions of events; setCapacity() bounds the buffers
  * to the most recent N records per kind (a ring buffer), counting what
@@ -92,12 +91,6 @@ class Recorder
         eibDropped_ = 0;
     }
 
-    /** CSV with a header row; one line per DMA command. */
-    std::string dmaCsv() const;
-
-    /** CSV with a header row; one line per EIB packet. */
-    std::string eibCsv() const;
-
     /**
      * ASCII Gantt chart of the DMA records: one lane per SPE, time
      * bucketed into @p width columns.  '.' = command in queue,
@@ -106,18 +99,6 @@ class Recorder
      * indexing out of range.
      */
     std::string renderDmaTimeline(int width = 72) const;
-
-    /**
-     * Paraver-style trace (.prv) of the DMA records — the trace format
-     * of the authors' own BSC tooling.  One application, one task per
-     * SPE; state records (type 1) span each command's in-flight window
-     * with the state value 1 for GET and 2 for PUT.  @p nsPerTick
-     * converts ticks to the nanosecond timebase Paraver expects; the
-     * conversion *rounds* to the nearest ns so sub-ns records do not
-     * collapse to zero-length states.  An empty trace yields an empty
-     * string (no bogus 1-task/0-duration header).
-     */
-    std::string paraverExport(double nsPerTick) const;
 
     /**
      * Chrome-trace (Trace Event Format) JSON of both record kinds, for

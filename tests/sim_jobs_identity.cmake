@@ -1,7 +1,7 @@
 # Proves the conservative parallel simulation is invisible in the
 # output: `cellbw run` reports are byte-identical for any --sim-jobs
 # value, on both the dual-chip partitioned engine (abl_dualchip) and
-# the single-chip legacy path (fig08_spe_mem, where the flag is a
+# the single-chip path (fig08_spe_mem, where the flag is a
 # no-op).  cluster_halo also runs its whole batch of runs serially
 # (--jobs 1) and three at a time (--jobs 3) to the same bytes, and one
 # experiment of each single-chip batch shape does at --jobs 1 and 4.
@@ -66,7 +66,7 @@ run_quiet(run cluster_halo --quick --jobs 1 --sim-jobs 1
 expect_identical(cluster_serial.json cluster_j1.json
                  "cluster_halo --jobs 1 vs 3")
 
-# --- single-chip: --sim-jobs must be a no-op on the legacy path -----
+# --- single-chip: --sim-jobs must be a no-op on one event queue -----
 foreach(jobs 1 4)
     run_quiet(run fig08_spe_mem --quick --sim-jobs ${jobs}
               --json fig08_j${jobs}.json)

@@ -136,6 +136,45 @@ TEST(CellSystem, PutToMemoryDeliversData)
     EXPECT_EQ(sys.memory().store().byteAt(dst + bytes - 1), 0xEE);
 }
 
+TEST(CellSystem, FarBankLinesCrossTheIoif)
+{
+    // The single-chip blade's second bank sits behind the IOIF.  A GET
+    // from a remote page takes longer than from a local one and brings
+    // its bytes in on the inbound lane; a PUT to a remote page is
+    // serviced by bank 1 and sends its bytes on the outbound lane.
+    const std::uint32_t bytes = 16 * 1024;
+    auto getTicks = [&](const mem::NumaPolicy &policy, unsigned bank) {
+        cell::CellConfig cfg;
+        cell::CellSystem sys(cfg, 1);
+        EffAddr src = sys.malloc(bytes, policy);
+        sys.memory().store().fill(src, 0x3C, bytes);
+        sys.launch(getProgram(sys, 0, 0, src, bytes));
+        sys.run();
+        EXPECT_EQ(sys.spe(0).ls().byteAt(bytes - 1), 0x3C);
+        EXPECT_EQ(sys.memory().bank(bank).bytesServiced(), bytes);
+        EXPECT_EQ(sys.memory().ioLink().bytesSent(
+                      mem::IoLink::Dir::Inbound),
+                  bank == 1 ? bytes : 0u);
+        return sys.now();
+    };
+    EXPECT_GT(getTicks(mem::NumaPolicy::remote(), 1),
+              getTicks(mem::NumaPolicy::local(), 0));
+
+    cell::CellConfig cfg;
+    cell::CellSystem sys(cfg, 1);
+    EffAddr dst = sys.malloc(bytes, mem::NumaPolicy::remote());
+    sys.spe(0).ls().fill(0, 0xC3, bytes);
+    sys.launch(putProgram(sys, 0, 0, dst, bytes));
+    sys.run();
+    EXPECT_EQ(sys.memory().store().byteAt(dst + bytes - 1), 0xC3);
+    EXPECT_EQ(sys.memory().bank(1).bytesServiced(), bytes);
+    EXPECT_EQ(sys.memory().bank(0).bytesServiced(), 0u);
+    EXPECT_EQ(sys.memory().ioLink().bytesSent(mem::IoLink::Dir::Outbound),
+              bytes);
+    EXPECT_EQ(sys.memory().ioLink().bytesSent(mem::IoLink::Dir::Inbound),
+              0u);
+}
+
 TEST(CellSystem, SpeToSpeGetAndPut)
 {
     cell::CellConfig cfg;

@@ -166,13 +166,13 @@ TEST(ClusterSystem, FourChipsComeUp)
     EXPECT_EQ(sys.memory().links().numLinks(), 3u);
 }
 
-TEST(ClusterSystem, ChipFieldOverflowIsFatal)
+TEST(ClusterSystem, ChipsBeyondTheValidatedRangeAreFatal)
 {
-    // The flight handle packs the chip index into 32 - kChipShift bits;
-    // one chip past kMaxChips must fail loudly, not wrap.
-    EXPECT_EQ(cell::CellSystem::kMaxChips, 16u);
+    // 1-16 chips is the range the cluster tests and baselines cover;
+    // one chip more must fail loudly.
+    EXPECT_EQ(cell::kMaxChips, 16u);
     cell::CellConfig cfg;
-    cfg.numChips = cell::CellSystem::kMaxChips + 1;
+    cfg.numChips = cell::kMaxChips + 1;
     cfg.numSpes = 8;
     EXPECT_THROW(cell::CellSystem(cfg, 1), sim::FatalError);
 }

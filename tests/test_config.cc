@@ -75,7 +75,7 @@ TEST(CellConfig, BadValuesAreFatal)
 {
     EXPECT_THROW(parse({"--spes=0"}), sim::FatalError);
     EXPECT_THROW(parse({"--spes=9"}), sim::FatalError);
-    // 17 chips would overflow the flight handle's 4-bit chip field.
+    // 17 chips is past the validated range of --chips.
     EXPECT_THROW(parse({"--chips=17"}), sim::FatalError);
     // More blades than chips would leave a blade empty; five chips on
     // two blades would need three on one blade.

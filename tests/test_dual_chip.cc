@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/experiments.hh"
 #include "stats/metrics.hh"
@@ -57,31 +60,209 @@ TEST(DualChip, SingleChipRejectsMoreThanEightSpes)
     EXPECT_THROW(cell::CellSystem(cfg, 1), sim::FatalError);
 }
 
-TEST(DualChip, CrossChipDmaDeliversData)
+namespace
 {
-    auto cfg = twoChips();
-    cfg.numSpes = 16;
+
+/** One lane of the link between chips lo < hi. */
+struct Lane
+{
+    unsigned lo;
+    unsigned hi;
+    mem::IoLink::Dir dir;
+};
+
+/**
+ * A line's trip across chips: an SPE on chip @p from DMAs with the LS
+ * of an SPE, or the XDR bank, on chip @p to.  @p lanes lists the lanes
+ * its data crosses, in route order.
+ */
+struct Crossing
+{
+    const char *name;
+    bool toLs;
+    bool isGet;
+    unsigned chips;
+    unsigned from;
+    unsigned to;
+    std::vector<Lane> lanes;
+};
+
+/** gtest prints a failing case by its name. */
+void
+PrintTo(const Crossing &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+constexpr auto kOut = mem::IoLink::Dir::Outbound;
+constexpr auto kIn = mem::IoLink::Dir::Inbound;
+
+/** Data from chip 1 to chip 0, or back. */
+const std::vector<Lane> kTwoChipIn = {{0, 1, kIn}};
+const std::vector<Lane> kTwoChipOut = {{0, 1, kOut}};
+/** Four chips on two blades (gateways 0 and 2): chip 3 to chip 1
+ *  takes IOIF 2-3, the blade link 0-2 and IOIF 0-1, and back. */
+const std::vector<Lane> kThreeHopsIn = {{2, 3, kIn}, {0, 2, kIn},
+                                        {0, 1, kOut}};
+const std::vector<Lane> kThreeHopsOut = {{0, 1, kIn}, {0, 2, kOut},
+                                         {2, 3, kOut}};
+
+struct CrossingRun
+{
+    Tick now = 0;
+    bool landed = false;
+    cell::CellSystem::VerifyStats verify;
+    /** Bytes on each lane of the route, in route order. */
+    std::vector<std::uint64_t> routeBytes;
+    /** Bytes on every lane of every link. */
+    std::uint64_t allBytes = 0;
+    /** Bytes each chip's EIB moved. */
+    std::vector<std::uint64_t> eibBytes;
+};
+
+constexpr std::uint32_t kCrossBytes = 16 * 1024;
+
+CrossingRun
+runCrossing(const Crossing &c, bool verify, unsigned simJobs)
+{
+    cell::CellConfig cfg;
+    cfg.numChips = c.chips;
+    cfg.numSpes = 8 * c.chips;
+    cfg.affinity = cell::AffinityPolicy::Linear;  // logical i on chip i/8
+    cfg.verify = verify;
+    cfg.simJobs = simJobs;
     cell::CellSystem sys(cfg, 1);
-    // Logical 0 (chip 0) GETs from logical 8 (chip 1).
-    sys.spe(8).ls().fill(0, 0x7D, 16 * 1024);
-    auto prog_fn = [&]() -> sim::Task {
-        auto &s = sys.spe(0);
-        s.mfc().get(0, sys.lsEa(8, 0), 16 * 1024, 0);
-        co_await s.mfc().tagWait(1u << 0);
+    const unsigned issuer = 8 * c.from;
+    const unsigned peer = 8 * c.to;
+
+    std::vector<std::uint8_t> data(kCrossBytes);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    EffAddr ea = c.toLs ? sys.lsEa(peer, 0)
+                        : sys.malloc(kCrossBytes,
+                                     mem::NumaPolicy::onBank(c.to));
+    // The source holds the pattern: the peer LS or bank for a GET, the
+    // issuer's LS for a PUT.
+    if (!c.isGet)
+        sys.spe(issuer).ls().write(0, data.data(), kCrossBytes);
+    else if (c.toLs)
+        sys.spe(peer).ls().write(0, data.data(), kCrossBytes);
+    else
+        sys.memory().store().write(ea, data.data(), kCrossBytes);
+
+    auto prog = [&]() -> sim::Task {
+        auto &mfc = sys.spe(issuer).mfc();
+        if (c.isGet)
+            mfc.get(0, ea, kCrossBytes, 0);
+        else
+            mfc.put(0, ea, kCrossBytes, 0);
+        co_await mfc.tagWait(1u << 0);
     };
-    sys.launch(prog_fn());
+    sys.launch(prog());
     sys.run();
-    EXPECT_EQ(sys.spe(0).ls().byteAt(0), 0x7D);
-    EXPECT_EQ(sys.spe(0).ls().byteAt(16 * 1024 - 1), 0x7D);
-    // The data crossed the blade toward chip 0 (the Inbound lane;
-    // lanes are named from chip 0's viewpoint).
-    EXPECT_EQ(sys.memory().ioLink().bytesSent(mem::IoLink::Dir::Inbound),
-              16u * 1024u);
-    EXPECT_EQ(sys.memory().ioLink().bytesSent(
-                  mem::IoLink::Dir::Outbound), 0u);
-    // Both chips' EIBs carried it.
-    EXPECT_GT(sys.eib(0).bytesMoved(), 0u);
-    EXPECT_GT(sys.eib(1).bytesMoved(), 0u);
+
+    std::vector<std::uint8_t> got(kCrossBytes);
+    if (c.isGet)
+        sys.spe(issuer).ls().read(0, got.data(), kCrossBytes);
+    else if (c.toLs)
+        sys.spe(peer).ls().read(0, got.data(), kCrossBytes);
+    else
+        sys.memory().store().read(ea, got.data(), kCrossBytes);
+
+    CrossingRun r;
+    r.now = sys.now();
+    r.landed = got == data;
+    r.verify = sys.verifyStats();
+    auto &links = sys.memory().links();
+    for (const Lane &lane : c.lanes)
+        r.routeBytes.push_back(
+            links.linkBetween(lane.lo, lane.hi)->bytesSent(lane.dir));
+    for (std::size_t l = 0; l < links.numLinks(); ++l)
+        r.allBytes += links.link(l).bytesSent(kOut) +
+                      links.link(l).bytesSent(kIn);
+    for (unsigned chip = 0; chip < c.chips; ++chip)
+        r.eibBytes.push_back(sys.eib(chip).bytesMoved());
+    return r;
+}
+
+class CrossChipDma : public ::testing::TestWithParam<Crossing>
+{};
+
+} // namespace
+
+TEST_P(CrossChipDma, DeliversDataOnItsRoute)
+{
+    const Crossing &c = GetParam();
+    const CrossingRun checked = runCrossing(c, true, 1);
+    EXPECT_TRUE(checked.landed);
+    EXPECT_EQ(checked.verify.transfersChecked, 1u);
+    EXPECT_EQ(checked.verify.divergences, 0u)
+        << checked.verify.firstDivergence;
+
+    // The data serializes once on every lane of its route and nowhere
+    // else: commands and acknowledgments cross as latency only.
+    const std::vector<std::uint64_t> route(c.lanes.size(), kCrossBytes);
+    EXPECT_EQ(checked.routeBytes, route);
+    EXPECT_EQ(checked.allBytes, kCrossBytes * c.lanes.size());
+    // It rides the EIB of the chips at both ends, and no other.
+    std::vector<std::uint64_t> eibs(c.chips, 0);
+    eibs[c.from] = eibs[c.to] = kCrossBytes;
+    EXPECT_EQ(checked.eibBytes, eibs);
+
+    // Checked mode runs the windows on one thread; unchecked runs at
+    // one and two worker threads must land the same data at the same
+    // tick.
+    for (unsigned jobs : {1u, 2u}) {
+        const CrossingRun r = runCrossing(c, false, jobs);
+        EXPECT_TRUE(r.landed) << "sim-jobs " << jobs;
+        EXPECT_EQ(r.now, checked.now) << "sim-jobs " << jobs;
+        EXPECT_EQ(r.routeBytes, route) << "sim-jobs " << jobs;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Routes, CrossChipDma,
+    ::testing::Values(
+        Crossing{"LsGetTwoChips", true, true, 2, 0, 1, kTwoChipIn},
+        Crossing{"LsPutTwoChips", true, false, 2, 0, 1, kTwoChipOut},
+        Crossing{"MemGetTwoChips", false, true, 2, 0, 1, kTwoChipIn},
+        Crossing{"MemPutTwoChips", false, false, 2, 0, 1, kTwoChipOut},
+        Crossing{"LsGetThreeHops", true, true, 4, 1, 3, kThreeHopsIn},
+        Crossing{"LsPutThreeHops", true, false, 4, 1, 3, kThreeHopsOut},
+        Crossing{"MemGetThreeHops", false, true, 4, 1, 3, kThreeHopsIn},
+        Crossing{"MemPutThreeHops", false, false, 4, 1, 3,
+                 kThreeHopsOut}),
+    [](const ::testing::TestParamInfo<Crossing> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(DualChip, FarChipFatalErrorReachesRun)
+{
+    // SPE 0 GETs two lines from the end of chip 1's LS; the second
+    // reads past it on chip 1's partition.  Every --sim-jobs value
+    // raises the same catchable error from run().
+    auto message = [](unsigned simJobs) {
+        auto cfg = twoChips();
+        cfg.numSpes = 16;
+        cfg.simJobs = simJobs;
+        cell::CellSystem sys(cfg, 1);
+        auto prog = [&]() -> sim::Task {
+            auto &mfc = sys.spe(0).mfc();
+            mfc.get(0, sys.lsEa(8, 256 * util::KiB - 128), 256, 0);
+            co_await mfc.tagWait(1u << 0);
+        };
+        sys.launch(prog());
+        try {
+            sys.run();
+        } catch (const sim::FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    const std::string serial = message(1);
+    EXPECT_NE(serial.find("out of the 262144-byte store"),
+              std::string::npos) << serial;
+    EXPECT_EQ(message(2), serial);
 }
 
 TEST(DualChip, CrossChipPairIsIoifLimited)

@@ -459,47 +459,6 @@ TEST(PageAllocator, SingleBankInterleaveFallsBackToBank0)
 /*  MemorySystem                                                        */
 /* ------------------------------------------------------------------ */
 
-TEST(MemorySystem, RemoteReadIsSlowerThanLocal)
-{
-    sim::EventQueue eq;
-    mem::MemorySystemParams p;
-    mem::MemorySystem ms("m", eq, p);
-    EffAddr local = ms.alloc(65536, mem::NumaPolicy::local());
-    EffAddr remote = ms.alloc(65536, mem::NumaPolicy::remote());
-    EXPECT_FALSE(ms.isRemote(local));
-    EXPECT_TRUE(ms.isRemote(remote));
-
-    // Warm both banks past their t=0 refresh window first, so the
-    // comparison only sees the IOIF crossing cost.
-    ms.readLine(local, 128, [] {});
-    ms.readLine(remote, 128, [] {});
-    eq.run();
-
-    Tick t0 = eq.now();
-    Tick local_done = 0, remote_done = 0;
-    ms.readLine(local, 128, [&] { local_done = eq.now(); });
-    eq.run();
-    Tick t1 = eq.now();
-    ms.readLine(remote, 128, [&] { remote_done = eq.now(); });
-    eq.run();
-    EXPECT_GT(remote_done - t1, local_done - t0);
-}
-
-TEST(MemorySystem, WritesArePostedToTheRightBank)
-{
-    sim::EventQueue eq;
-    mem::MemorySystemParams p;
-    mem::MemorySystem ms("m", eq, p);
-    EffAddr remote = ms.alloc(65536, mem::NumaPolicy::remote());
-    bool done = false;
-    ms.writeLine(remote, 128, [&] { done = true; });
-    eq.run();
-    EXPECT_TRUE(done);
-    EXPECT_EQ(ms.bank(1).bytesServiced(), 128u);
-    EXPECT_EQ(ms.bank(0).bytesServiced(), 0u);
-    EXPECT_EQ(ms.ioLink().bytesSent(mem::IoLink::Dir::Outbound), 128u);
-}
-
 TEST(MemorySystem, BadBankIndexIsFatal)
 {
     sim::EventQueue eq;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/parallel.hh"
 
 using namespace cellbw;
@@ -36,8 +39,7 @@ TEST(PartitionedEngine, PostDeliversAtTheRequestedTick)
     Tick seen = maxTick;
     eng.queue(0).schedule(10, [&] {
         eng.post(0, 1, eng.queue(0).now() + kLook,
-                 sim::PartitionedEngine::ChannelFn(
-                     [&] { seen = eng.queue(1).now(); }));
+                 [&] { seen = eng.queue(1).now(); });
     });
     eng.run(1);
     EXPECT_EQ(seen, 110u);
@@ -55,14 +57,11 @@ TEST(PartitionedEngine, DeliveryOrderIsWhenSourceSeq)
     std::vector<int> order;
     eng.queue(2).scheduleAt(kLook, [&] { order.push_back(99); });
     eng.queue(0).schedule(0, [&] {
-        eng.post(0, 2, kLook, sim::PartitionedEngine::ChannelFn(
-                                  [&] { order.push_back(1); }));
-        eng.post(0, 2, kLook, sim::PartitionedEngine::ChannelFn(
-                                  [&] { order.push_back(2); }));
+        eng.post(0, 2, kLook, [&] { order.push_back(1); });
+        eng.post(0, 2, kLook, [&] { order.push_back(2); });
     });
     eng.queue(1).schedule(0, [&] {
-        eng.post(1, 2, kLook, sim::PartitionedEngine::ChannelFn(
-                                  [&] { order.push_back(3); }));
+        eng.post(1, 2, kLook, [&] { order.push_back(3); });
     });
     eng.run(1);
     EXPECT_EQ(order, (std::vector<int>{99, 1, 2, 3}));
@@ -95,11 +94,11 @@ pingPongTrace(unsigned threads, int bounces)
         {
             const unsigned to = 1 - from;
             eng.post(from, to, eng.queue(from).now() + kLook,
-                     sim::PartitionedEngine::ChannelFn([this, to] {
+                     [this, to] {
                          trace.emplace_back(to, eng.queue(to).now());
                          if (--left > 0)
                              send(to);
-                     }));
+                     });
         }
     } bouncer{eng, trace, left};
     eng.queue(0).schedule(3, [&] { bouncer.send(0); });
@@ -152,18 +151,18 @@ ringTrace(unsigned threads, int laps)
         {
             const unsigned to = (from + 1) % kParts;
             eng.post(from, to, eng.queue(from).now() + kLook,
-                     sim::PartitionedEngine::ChannelFn([this, to] {
+                     [this, to] {
                          trace[to].emplace_back(eng.queue(to).now(),
                                                 false);
                          if (--left > 0)
                              send(to);
-                     }));
+                     });
             if (from == 0)
                 eng.post(0, 2, eng.queue(0).now() + kLook,
-                         sim::PartitionedEngine::ChannelFn([this] {
+                         [this] {
                              trace[2].emplace_back(eng.queue(2).now(),
                                                    true);
-                         }));
+                         });
         }
     } relay{eng, trace, left};
     eng.queue(0).schedule(5, [&] { relay.send(0); });
@@ -201,13 +200,11 @@ TEST(PartitionedEngine, DiagonalPostsReachNonAdjacentPartitions)
     Tick at02 = maxTick, at31 = maxTick;
     eng.queue(0).schedule(10, [&] {
         eng.post(0, 2, eng.queue(0).now() + kLook,
-                 sim::PartitionedEngine::ChannelFn(
-                     [&] { at02 = eng.queue(2).now(); }));
+                 [&] { at02 = eng.queue(2).now(); });
     });
     eng.queue(3).schedule(20, [&] {
         eng.post(3, 1, eng.queue(3).now() + kLook,
-                 sim::PartitionedEngine::ChannelFn(
-                     [&] { at31 = eng.queue(1).now(); }));
+                 [&] { at31 = eng.queue(1).now(); });
     });
     EXPECT_EQ(eng.run(2), 4u);
     EXPECT_EQ(at02, 110u);
@@ -219,8 +216,7 @@ TEST(PartitionedEngine, EventsProcessedCountsDeliveredMessages)
 {
     sim::PartitionedEngine eng(2, kLook);
     eng.queue(0).schedule(0, [&] {
-        eng.post(0, 1, kLook,
-                 sim::PartitionedEngine::ChannelFn([] {}));
+        eng.post(0, 1, kLook, [] {});
     });
     eng.run(1);
     // The origin event plus the delivered continuation.
@@ -228,13 +224,58 @@ TEST(PartitionedEngine, EventsProcessedCountsDeliveredMessages)
     EXPECT_EQ(eng.messagesDelivered(), 1u);
 }
 
+namespace
+{
+
+/**
+ * Two partitions whose events at tick 10 call sim::fatal when their
+ * partition is in @p failing; @return the message run(@p threads)
+ * throws, or "" if it returns.
+ */
+std::string
+fatalMessage(unsigned threads, std::vector<unsigned> failing)
+{
+    sim::PartitionedEngine eng(2, kLook);
+    for (unsigned p = 0; p < 2; ++p) {
+        bool fails = std::find(failing.begin(), failing.end(), p) !=
+                     failing.end();
+        eng.queue(p).schedule(10, [p, fails] {
+            if (fails)
+                sim::fatal("partition %u failed", p);
+        });
+    }
+    try {
+        eng.run(threads);
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(PartitionedEngine, FatalErrorOnAWorkerThreadReachesTheCaller)
+{
+    // A fatal error inside an event reaches run()'s caller for any
+    // worker count, instead of terminating the process from a window
+    // thread, and it is the error a serial run raises.
+    const std::string serial = fatalMessage(1, {1});
+    EXPECT_NE(serial.find("partition 1 failed"), std::string::npos);
+    EXPECT_EQ(fatalMessage(2, {1}), serial);
+
+    // Both partitions fail in one window: the serial run stops at
+    // partition 0, so the threaded run reports partition 0 too.
+    const std::string both = fatalMessage(1, {0, 1});
+    EXPECT_NE(both.find("partition 0 failed"), std::string::npos);
+    EXPECT_EQ(fatalMessage(2, {0, 1}), both);
+}
+
 TEST(PartitionedEngineDeathTest, PostBelowTheLookaheadPanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     sim::PartitionedEngine eng(2, kLook);
     eng.queue(0).schedule(10, [&] {
-        eng.post(0, 1, eng.queue(0).now() + kLook - 1,
-                 sim::PartitionedEngine::ChannelFn([] {}));
+        eng.post(0, 1, eng.queue(0).now() + kLook - 1, [] {});
     });
     EXPECT_DEATH(eng.run(1), "lookahead");
 }
@@ -244,8 +285,7 @@ TEST(PartitionedEngineDeathTest, PostToUnknownPartitionPanics)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     sim::PartitionedEngine eng(2, kLook);
     eng.queue(0).schedule(0, [&] {
-        eng.post(0, 2, kLook,
-                 sim::PartitionedEngine::ChannelFn([] {}));
+        eng.post(0, 2, kLook, [] {});
     });
     EXPECT_DEATH(eng.run(1), "unknown partition");
 }
