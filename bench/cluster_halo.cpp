@@ -17,13 +17,12 @@
  * Rows report the per-link peak ("link GB/s(max)"), which `cellbw
  * validate` holds below the analytic IOIF per-direction ceiling.
  *
- * All 16 points' placement sweeps run as one batch on the run's pool
- * (--jobs): every run of every point is submitted at once and writes
- * its own slot, and the rows are folded afterwards in point and seed
- * order, so the report is byte-identical for any --jobs.  The batch
- * keeps at most min(--jobs, --runs) systems live, 3 at --quick, even
- * on a wider pool; each concurrent 8-chip system holds about 8 MB of
- * host memory.
+ * All 16 points' placement sweeps run as one batch on every worker of
+ * the run's pool (--jobs): every run of every point is submitted at
+ * once and writes its own slot, and the rows are folded afterwards in
+ * point and seed order, so the report is byte-identical for any --jobs.
+ * A serial-window (--sim-jobs 1) 8-chip system backs its main memory
+ * lazily and holds about 3-4 MB of host memory.
  */
 
 #include <algorithm>
@@ -31,7 +30,6 @@
 
 #include "bench_common.hh"
 #include "core/halo.hh"
-#include "core/worker_pool.hh"
 #include "stats/distribution.hh"
 
 using namespace cellbw;
@@ -92,11 +90,7 @@ run(core::ExperimentContext &b)
     std::vector<Sample> samples(points.size() * perPoint);
     // Largest systems first (points ascend in chip count): the 8-chip
     // runs start on fresh heaps, which lowers the peak RSS, and the
-    // cheap 1-chip runs fill the tail.  At most min(--jobs, --runs)
-    // systems are live at once, on any pool: a fourth 8-chip system
-    // costs more host memory than its time saves.
-    const std::size_t live = std::min<std::size_t>(
-        core::WorkerPool::width(b.par.jobs), b.repeat.runs);
+    // cheap 1-chip runs fill the tail.
     core::parallelFor(samples.size(), b.par, [&](std::size_t j) {
         const std::size_t k = samples.size() - 1 - j;
         const Point &p = points[k / perPoint];
@@ -121,7 +115,7 @@ run(core::ExperimentContext &b)
         }
         if (b.repeat.metrics)
             sys.snapshotMetrics(*b.repeat.metrics);
-    }, live);
+    });
 
     stats::Table table({"chips", "placement", "halo", "GB/s(mean)",
                         "halo GB/s", "link GB/s(max)"});

@@ -198,10 +198,10 @@ CellSystem::malloc(std::uint64_t bytes, const mem::NumaPolicy &policy)
     EffAddr ea = memory_->alloc(bytes, policy);
     if (ea + bytes >= lsEaBase)
         sim::fatal("main memory exhausted");
-    // Partitioned runs touch data pages from both chips' worker
+    // Threaded windows touch data pages from several chips' worker
     // threads; faulting them in at allocation keeps the page map
-    // immutable while the simulation runs.
-    if (engine_)
+    // immutable while they run.  Serial windows back pages lazily.
+    if (runThreads() > 1)
         memory_->store().touch(ea, bytes);
     return ea;
 }

@@ -43,17 +43,13 @@ RepeatSpec::fromOptions(const util::Options &opts, std::string &err)
 
 void
 parallelFor(std::size_t n, const ParallelSpec &par,
-            const std::function<void(std::size_t)> &fn,
-            std::size_t maxConcurrent)
+            const std::function<void(std::size_t)> &fn)
 {
-    // Each lane runs the next unclaimed index until none is left, so
-    // at most `lanes` calls run at once on any pool.
-    const std::size_t lanes =
-        maxConcurrent ? std::min(n, maxConcurrent) : n;
+    // Each lane runs the next unclaimed index until none is left.
     WorkerPool *pool = par.pool;
     std::optional<WorkerPool> scoped;
     const std::size_t width =
-        std::min<std::size_t>(WorkerPool::width(par.jobs), lanes);
+        std::min<std::size_t>(WorkerPool::width(par.jobs), n);
     if (!pool && width > 1)
         pool = &scoped.emplace(static_cast<unsigned>(width));
 
@@ -82,7 +78,7 @@ parallelFor(std::size_t n, const ParallelSpec &par,
     if (!pool) {
         lane();
     } else {
-        for (; submitted < lanes; ++submitted) {
+        for (; submitted < n; ++submitted) {
             try {
                 pool->submit([&lane] { lane(); });
             } catch (...) {

@@ -119,16 +119,13 @@ struct ParallelSpec
  * Run @p fn(0), ..., @p fn(n - 1), each exactly once, as described by
  * @p par: on its pool, else on a pool of min(width(jobs), n) workers
  * scoped to the call, else (width 1) inline on the calling thread.
- * With @p maxConcurrent set, at most that many calls run at once, also
- * on a shared pool wider than that (a scoped pool is no wider).
  * Returns once every call has finished.  If any call throws, the error
  * of the lowest failing index is rethrown after all of them are done,
  * so the outcome does not depend on the width either.  Calls may run
  * concurrently: each must write only its own slot of shared output.
  */
 void parallelFor(std::size_t n, const ParallelSpec &par,
-                 const std::function<void(std::size_t)> &fn,
-                 std::size_t maxConcurrent = 0);
+                 const std::function<void(std::size_t)> &fn);
 
 using ExperimentBody = std::function<double(cell::CellSystem &)>;
 

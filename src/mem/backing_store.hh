@@ -44,8 +44,9 @@ class BackingStore
 
     /**
      * Pre-fault every page in [@p ea, @p ea + @p size).  A partitioned
-     * simulation pre-touches each allocation so neither the index nor
-     * a page is created while two chips access the store concurrently.
+     * simulation with threaded windows pre-touches each allocation so
+     * neither the index nor a page is created while two chips access
+     * the store concurrently; serial windows back pages lazily.
      */
     void touch(EffAddr ea, std::uint64_t size);
 

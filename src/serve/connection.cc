@@ -99,6 +99,7 @@ statusText(int status)
       case 400: return "Bad Request";
       case 404: return "Not Found";
       case 405: return "Method Not Allowed";
+      case 408: return "Request Timeout";
       case 409: return "Conflict";
       case 413: return "Payload Too Large";
       case 500: return "Internal Server Error";
@@ -152,26 +153,40 @@ sendError(int fd, int status, const std::string &message)
 } // namespace
 
 void
-serveConnection(int fd, const std::string &peer, Server &server)
+serveConnection(int fd, const std::string &peer, Server &server,
+                std::chrono::milliseconds readDeadline)
 {
-    // A stalled or dead client must not pin this thread forever; runs
-    // themselves can take arbitrarily long, but *reading the request*
-    // cannot.
-    struct timeval tv;
-    tv.tv_sec = 30;
-    tv.tv_usec = 0;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    // A stalled, dead or trickling client must not pin this thread
+    // forever; runs themselves can take arbitrarily long, but *reading
+    // the request* has one deadline, and each recv waits only for what
+    // is left of it.
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + readDeadline;
 
     std::string buf;
     HttpRequest req;
     std::size_t consumed = 0;
     for (;;) {
+        const long long leftUs =
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                deadline - Clock::now())
+                .count();
+        if (leftUs <= 0) {
+            sendError(fd, 408, "request not received in time");
+            ::close(fd);
+            return;
+        }
+        struct timeval tv;
+        tv.tv_sec = static_cast<time_t>(leftUs / 1000000);
+        tv.tv_usec = static_cast<suseconds_t>(leftUs % 1000000);
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         char chunk[1 << 14];
         ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n < 0 && errno == EINTR)
-            continue;
+        if (n < 0 && (errno == EINTR || errno == EAGAIN ||
+                      errno == EWOULDBLOCK))
+            continue;       // the loop head answers a timeout
         if (n <= 0) {
-            ::close(fd);    // EOF or timeout before a full request
+            ::close(fd);    // EOF or error before a full request
             return;
         }
         buf.append(chunk, static_cast<std::size_t>(n));

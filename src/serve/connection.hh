@@ -17,6 +17,7 @@
 #ifndef CELLBW_SERVE_CONNECTION_HH
 #define CELLBW_SERVE_CONNECTION_HH
 
+#include <chrono>
 #include <cstddef>
 #include <map>
 #include <string>
@@ -79,11 +80,13 @@ const char *statusText(int status);
 class Server;
 
 /**
- * Serve one accepted socket: read a request (bounded, with a receive
- * timeout), route it through @p server, write the response, close.
- * Takes ownership of @p fd.
+ * Serve one accepted socket: read a request (bounded, within
+ * @p readDeadline of the call, else answer 408), route it through
+ * @p server, write the response, close.  Takes ownership of @p fd.
  */
-void serveConnection(int fd, const std::string &peer, Server &server);
+void serveConnection(int fd, const std::string &peer, Server &server,
+                     std::chrono::milliseconds readDeadline =
+                         std::chrono::seconds(30));
 
 } // namespace cellbw::serve
 

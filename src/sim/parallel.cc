@@ -4,6 +4,7 @@
 #include <atomic>
 #include <barrier>
 #include <exception>
+#include <functional>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -21,8 +22,7 @@ PartitionedEngine::PartitionedEngine(unsigned partitions, Tick lookahead)
     queues_.reserve(n_);
     for (unsigned p = 0; p < n_; ++p)
         queues_.push_back(std::make_unique<EventQueue>());
-    channels_.resize(static_cast<std::size_t>(n_) * n_);
-    channelSeq_.resize(channels_.size(), 0);
+    outboxes_.resize(n_);
 }
 
 PartitionedEngine::~PartitionedEngine() = default;
@@ -41,67 +41,65 @@ PartitionedEngine::post(unsigned src, unsigned dst, Tick when,
               (unsigned long long)src_now,
               (unsigned long long)lookahead_);
     }
-    auto &ch = channels_[static_cast<std::size_t>(src) * n_ + dst];
-    ch.push_back(Msg{when,
-                     channelSeq_[static_cast<std::size_t>(src) * n_ + dst]++,
-                     src, std::move(fn)});
+    Outbox &ob = outboxes_[src];
+    if (ob.freeSlots.empty()) {
+        ob.freeSlots.push_back(static_cast<std::uint32_t>(ob.slots.size()));
+        ob.slots.emplace_back();
+    }
+    const std::uint32_t slot = ob.freeSlots.back();
+    ob.freeSlots.pop_back();
+    ob.slots[slot] = std::move(fn);
+    ob.posted.push_back(Key{when, src * n_ + dst, ob.seq++, slot});
 }
 
 Tick
-PartitionedEngine::nextTick() const
+PartitionedEngine::nextTick()
 {
-    Tick t = maxTick;
+    for (auto &ob : outboxes_) {
+        for (const Key &k : ob.posted) {
+            heap_.push_back(k);
+            std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        }
+        ob.posted.clear();
+    }
+    Tick t = heap_.empty() ? maxTick : heap_.front().when;
     for (auto &q : queues_)
         t = std::min(t, q->nextEventTick());
-    for (auto &ch : channels_)
-        for (auto &m : ch)
-            t = std::min(t, m.when);
     return t;
 }
 
 void
 PartitionedEngine::deliverDue(Tick horizon)
 {
-    due_.clear();
-    for (unsigned src = 0; src < n_; ++src) {
-        for (unsigned dst = 0; dst < n_; ++dst) {
-            auto &ch = channels_[static_cast<std::size_t>(src) * n_ + dst];
-            std::size_t kept = 0;
-            for (auto &m : ch) {
-                if (m.when <= horizon) {
-                    // Tag the message with its destination (reuse src:
-                    // it is only needed for the sort key below, and the
-                    // destination is recoverable from the channel).
-                    due_.push_back(std::move(m));
-                    due_.back().src = src * n_ + dst;
-                } else {
-                    ch[kept++] = std::move(m);
-                }
-            }
-            ch.resize(kept);
-        }
-    }
-    if (due_.empty())
-        return;
-    // A fixed delivery order makes the schedule independent of the
-    // channel scan: earliest first, ties by source partition, then by
-    // per-channel send order.
-    std::sort(due_.begin(), due_.end(), [](const Msg &a, const Msg &b) {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.src != b.src)
-            return a.src < b.src;
-        return a.seq < b.seq;
-    });
-    for (auto &m : due_) {
-        unsigned dst = m.src % n_;
+    // The heap's order is total, so the delivery order does not depend
+    // on which outbox a key was merged from: earliest first, ties by
+    // channel (source partition first), then by send order.
+    while (!heap_.empty() && heap_.front().when <= horizon) {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        const Key k = heap_.back();
+        heap_.pop_back();
+        Outbox &ob = outboxes_[k.channel / n_];
+        const unsigned dst = k.channel % n_;
         // Deterministic profile attribution: every message is a link
         // crossing, not the last event's component.
         TagScope tag(*queues_[dst], EventTag::IoLink);
-        queues_[dst]->scheduleAt(m.when, std::move(m.fn));
+        queues_[dst]->scheduleAt(k.when, std::move(ob.slots[k.slot]));
+        ob.freeSlots.push_back(k.slot);
         ++delivered_;
     }
-    due_.clear();
+}
+
+bool
+PartitionedEngine::openWindow(Tick &windowEnd)
+{
+    Tick tmin = nextTick();
+    if (tmin == maxTick)
+        return false;
+    windowEnd = (tmin > maxTick - lookahead_) ? maxTick
+                                              : tmin + lookahead_ - 1;
+    deliverDue(windowEnd);
+    ++windows_;
+    return true;
 }
 
 std::uint64_t
@@ -116,17 +114,9 @@ std::uint64_t
 PartitionedEngine::runWindowsSerial()
 {
     std::uint64_t events = 0;
-    for (;;) {
-        Tick tmin = nextTick();
-        if (tmin == maxTick)
-            break;
-        Tick window_end = (tmin > maxTick - lookahead_)
-                              ? maxTick
-                              : tmin + lookahead_ - 1;
-        deliverDue(window_end);
-        ++windows_;
+    for (Tick we = 0; openWindow(we);) {
         for (auto &q : queues_)
-            events += q->runUntil(window_end);
+            events += q->runUntil(we);
     }
     return events;
 }
@@ -169,14 +159,7 @@ PartitionedEngine::runWindowsThreaded(unsigned threads)
     }
 
     std::exception_ptr failed;
-    while (!failed) {
-        Tick tmin = nextTick();
-        if (tmin == maxTick)
-            break;
-        Tick we = (tmin > maxTick - lookahead_) ? maxTick
-                                                : tmin + lookahead_ - 1;
-        deliverDue(we);
-        ++windows_;
+    for (Tick we = 0; !failed && openWindow(we);) {
         window_end.store(we, std::memory_order_relaxed);
         sync.arrive_and_wait();  // workers start the window
         sync.arrive_and_wait();  // workers finished the window

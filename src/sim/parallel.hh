@@ -11,14 +11,20 @@
  * tmin is the earliest pending event (or undelivered cross-partition
  * message) anywhere in the system.
  *
- * The engine owns one EventQueue per partition plus an n x n mesh of
- * message channels.  A partition sends work across the boundary with
- * post(); messages are delivered at window boundaries in a fixed
- * (when, srcPartition, seq) order, so the event schedule — and hence
- * every report — is bit-identical no matter how many worker threads
- * execute the windows.  Threads only change *who* runs a partition's
- * window, never *what order* events fire in: determinism is a property
- * of the partitioned schedule itself, not of thread count.
+ * The engine owns one EventQueue per partition plus one outbox per
+ * partition.  A partition sends work across the boundary with post(),
+ * which appends a small key (when, channel, seq, slot) to the sender's
+ * own outbox and parks the callback in that outbox's slot, so posts
+ * from concurrently running partitions never share state.  Between
+ * windows the coordinator merges the outboxes' keys into one min-heap
+ * and pops exactly the messages due in the next window, in a fixed
+ * (when, channel = src * n + dst, seq) order.  The event schedule — and
+ * hence every report — is therefore bit-identical no matter how many
+ * worker threads execute the windows.  Threads only change *who* runs
+ * a partition's window, never *what order* events fire in: determinism
+ * is a property of the partitioned schedule itself, not of thread
+ * count.  A message parked windows ahead (a reserved link lane) costs
+ * nothing until it is due.
  *
  * The safety rule post() enforces: a message created by an event
  * executing at tick t must be delivered no earlier than t + L.  Since
@@ -30,6 +36,7 @@
 #ifndef CELLBW_SIM_PARALLEL_HH
 #define CELLBW_SIM_PARALLEL_HH
 
+#include <compare>
 #include <memory>
 #include <vector>
 
@@ -84,20 +91,38 @@ class PartitionedEngine
     void setProfiling(bool on);
 
   private:
-    struct Msg
+    /** An undelivered message's place in the delivery order; its
+     *  callback waits in @ref slot of the sender's outbox. */
+    struct Key
     {
         Tick when;
-        std::uint64_t seq;
-        unsigned src;
-        EventQueue::Callback fn;
+        std::uint32_t channel;   ///< src * n + dst
+        std::uint64_t seq;       ///< the sender's post count
+        std::uint32_t slot;      ///< never decides: (channel, seq) is unique
+        auto operator<=>(const Key &) const = default;
     };
 
-    /** Earliest pending event or undelivered message, or maxTick. */
-    Tick nextTick() const;
+    /** One partition's posts.  Only its own events write it during a
+     *  window; the coordinator drains it between windows. */
+    struct alignas(64) Outbox
+    {
+        std::vector<Key> posted;   ///< keys not yet in heap_
+        std::vector<EventQueue::Callback> slots;
+        std::vector<std::uint32_t> freeSlots;
+        std::uint64_t seq = 0;
+    };
 
-    /** Move every channel message with when <= @p horizon into its
-     *  destination queue, in (when, src, seq) order. */
+    /** Merge the outboxes into the heap; @return the earliest pending
+     *  event or undelivered message, or maxTick. */
+    Tick nextTick();
+
+    /** Pop every message with when <= @p horizon into its destination
+     *  queue, in (when, channel, seq) order. */
     void deliverDue(Tick horizon);
+
+    /** Deliver the next window's messages and count it; @return false
+     *  when nothing is left to run. */
+    bool openWindow(Tick &windowEnd);
 
     std::uint64_t runWindowsSerial();
     std::uint64_t runWindowsThreaded(unsigned threads);
@@ -105,12 +130,11 @@ class PartitionedEngine
     unsigned n_;
     Tick lookahead_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    /** channels_[src * n_ + dst]: messages in flight src -> dst. */
-    std::vector<std::vector<Msg>> channels_;
-    std::vector<std::uint64_t> channelSeq_;
+    std::vector<Outbox> outboxes_;
+    /** Every undelivered message's key, earliest on top. */
+    std::vector<Key> heap_;
     std::uint64_t delivered_ = 0;
     std::uint64_t windows_ = 0;
-    std::vector<Msg> due_;
 };
 
 } // namespace cellbw::sim

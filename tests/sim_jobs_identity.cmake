@@ -3,8 +3,9 @@
 # value, on both the dual-chip partitioned engine (abl_dualchip) and
 # the single-chip path (fig08_spe_mem, where the flag is a
 # no-op).  cluster_halo also runs its whole batch of runs serially
-# (--jobs 1) and three at a time (--jobs 3) to the same bytes, and one
-# experiment of each single-chip batch shape does at --jobs 1 and 4.
+# (--jobs 1) and on four workers (--jobs 4, four live systems) to the
+# same bytes, and one experiment of each single-chip batch shape does
+# at --jobs 1 and 4.
 # `cellbw run` never attaches the result cache, so every invocation
 # below is a live simulation, not a replay.
 #
@@ -53,10 +54,10 @@ expect_identical(dual_j1.json dual_j2.json "abl_dualchip")
 expect_identical(dual_j1.json dual_j4.json "abl_dualchip")
 
 # --- cluster: 1-8 partitions under 1, 2 and 4 workers --------------
-# Each batch runs three simulations at a time; the serial batch must
+# Each batch runs four simulations at a time; the serial batch must
 # give the same bytes.
 foreach(jobs 1 2 4)
-    run_quiet(run cluster_halo --quick --jobs 3 --sim-jobs ${jobs}
+    run_quiet(run cluster_halo --quick --jobs 4 --sim-jobs ${jobs}
               --json cluster_j${jobs}.json)
 endforeach()
 expect_identical(cluster_j1.json cluster_j2.json "cluster_halo")
@@ -64,7 +65,7 @@ expect_identical(cluster_j1.json cluster_j4.json "cluster_halo")
 run_quiet(run cluster_halo --quick --jobs 1 --sim-jobs 1
           --json cluster_serial.json)
 expect_identical(cluster_serial.json cluster_j1.json
-                 "cluster_halo --jobs 1 vs 3")
+                 "cluster_halo --jobs 1 vs 4")
 
 # --- single-chip: --sim-jobs must be a no-op on one event queue -----
 foreach(jobs 1 4)

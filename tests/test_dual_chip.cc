@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/experiments.hh"
+#include "core/halo.hh"
 #include "stats/metrics.hh"
 #include "test_util.hh"
 
@@ -387,6 +388,39 @@ TEST(DualChip, ProfiledRunBooksCrossingsAsIoLinkAndCountsWindows)
     EXPECT_GT(serial.first, 0u);
     EXPECT_GT(serial.second, 0u);
     EXPECT_EQ(serial, profile(2));
+}
+
+TEST(DualChip, OnlyThreadedWindowsPreTouchMemory)
+{
+    // Threaded windows need a page map that no chip changes while they
+    // run, so every allocation is faulted in up front.  Serial windows
+    // back main memory lazily, as one chip does.
+    auto touched = [](unsigned simJobs) {
+        auto cfg = twoChips();
+        cfg.simJobs = simJobs;
+        cell::CellSystem sys(cfg, 1);
+        sys.malloc(1 * util::MiB);
+        const auto &store = sys.memory().store();
+        return std::pair(store.touchedPages(), store.pageBytes());
+    };
+    EXPECT_EQ(touched(1).first, 0u);
+    const auto threaded = touched(2);
+    EXPECT_EQ(threaded.first, util::MiB / threaded.second);
+}
+
+TEST(DualChip, SerialClusterHaloTouchesLessThanItsSlabs)
+{
+    cell::CellConfig cfg;
+    cfg.numChips = 4;
+    cfg.numSpes = 32;
+    cfg.affinity = cell::AffinityPolicy::Linear;
+    cell::CellSystem sys(cfg, 1);
+    core::HaloConfig hc;
+    hc.steps = 2;
+    core::runClusterHalo(sys, hc);
+    const auto &store = sys.memory().store();
+    const std::uint64_t slabs = 4ull * hc.ranksPerChip * hc.slabBytes;
+    EXPECT_LT(store.touchedPages() * store.pageBytes(), slabs);
 }
 
 TEST(DualChip, SixteenSpeCouplesScaleAcrossChips)

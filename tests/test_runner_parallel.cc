@@ -104,32 +104,6 @@ TEST(ParallelFor, ErrorIsRethrownAfterEveryTaskFinished)
     }
 }
 
-TEST(ParallelFor, CapBoundsConcurrentCallsOnAnyPool)
-{
-    // k lanes on a 4-worker pool (shared or scoped) never overlap more
-    // than k calls, and still run every index exactly once.
-    core::WorkerPool pool(4);
-    for (std::size_t cap : {1u, 2u, 3u}) {
-        for (const auto &par : {core::ParallelSpec{0, &pool},
-                                core::ParallelSpec{4}}) {
-            std::atomic<unsigned> running{0}, peak{0};
-            std::vector<std::atomic<unsigned>> calls(24);
-            core::parallelFor(calls.size(), par, [&](std::size_t i) {
-                const unsigned now = running.fetch_add(1) + 1;
-                unsigned seen = peak.load();
-                while (now > seen && !peak.compare_exchange_weak(seen, now))
-                    ;
-                std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                calls[i].fetch_add(1);
-                running.fetch_sub(1);
-            }, cap);
-            EXPECT_LE(peak.load(), cap) << "cap " << cap;
-            for (std::size_t i = 0; i < calls.size(); ++i)
-                EXPECT_EQ(calls[i].load(), 1u) << "cap " << cap;
-        }
-    }
-}
-
 TEST(RunBatch, EqualsOneRepeatRunsPerPoint)
 {
     // Points with different machines, run counts and bodies: the one

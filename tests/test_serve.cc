@@ -630,6 +630,43 @@ TEST(Serve, NativeRunsWorkWhenNotSimOnly)
     EXPECT_EQ(again.headers["x-cellbw-cache"], "miss");
 }
 
+TEST(Serve, TricklingClientGets408AtTheRequestDeadline)
+{
+    // One byte every 50 ms would renew a per-recv timeout forever; the
+    // request's one deadline (300 ms here) answers 408 and closes.
+    ServerFixture fx("trickle");
+    ASSERT_TRUE(fx.started());
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const auto start = std::chrono::steady_clock::now();
+    std::thread conn([&] {
+        serve::serveConnection(sv[0], "trickler", fx.server(),
+                               std::chrono::milliseconds(300));
+    });
+    std::atomic<bool> answered{false};
+    std::thread trickle([&] {
+        const std::string raw = "GET /health HTTP/1.1\r\nHost: t\r\n\r\n";
+        for (char c : raw) {
+            if (answered.load() || ::send(sv[1], &c, 1, MSG_NOSIGNAL) != 1)
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+    });
+    std::string wire;
+    char chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(sv[1], chunk, sizeof(chunk), 0)) > 0)
+        wire.append(chunk, static_cast<std::size_t>(n));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    answered.store(true);
+    trickle.join();
+    conn.join();
+    ::close(sv[1]);
+    EXPECT_EQ(wire.rfind("HTTP/1.1 408 Request Timeout\r\n", 0), 0u)
+        << wire;
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
 TEST(Serve, DrainingRejectsNewRunsWith503)
 {
     ServerFixture fx("drain");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
 #include <string>
 #include <utility>
 #include <vector>
@@ -210,6 +211,105 @@ TEST(PartitionedEngine, DiagonalPostsReachNonAdjacentPartitions)
     EXPECT_EQ(at02, 110u);
     EXPECT_EQ(at31, 120u);
     EXPECT_EQ(eng.messagesDelivered(), 2u);
+}
+
+namespace
+{
+
+/** One posted message, ordered as the engine must deliver it. */
+struct Posted
+{
+    Tick when;
+    unsigned src;
+    unsigned seq;
+    auto operator<=>(const Posted &) const = default;
+};
+
+struct BacklogRun
+{
+    std::vector<Posted> posted;      ///< source 0's posts, then 1's
+    std::vector<Posted> delivered;   ///< in partition 2's run order
+    std::uint64_t windows = 0;
+};
+
+/**
+ * Partitions 0 and 1 each post 200 messages to partition 2: 25 events
+ * at the same ticks on both sources, 8 posts each.  Every message
+ * lands 0-4 whole windows past the lookahead, so the backlog holds
+ * messages for several windows, a channel's messages arrive out of
+ * send order, and messages tie on a tick within and across channels.
+ */
+BacklogRun
+backlogRun(unsigned threads)
+{
+    constexpr unsigned kEvents = 25, kPostsPerEvent = 8;
+    sim::PartitionedEngine eng(3, kLook);
+    // Each vector is only touched by the partition that fills it.
+    std::vector<Posted> posted[2], delivered;
+    for (unsigned src = 0; src < 2; ++src) {
+        for (unsigned e = 0; e < kEvents; ++e) {
+            eng.queue(src).scheduleAt(e * 37, [&, src, e] {
+                for (unsigned k = 0; k < kPostsPerEvent; ++k) {
+                    const unsigned seq = e * kPostsPerEvent + k;
+                    const Tick jitter = (seq * 7 + src * 3) % 5 * kLook;
+                    const Posted m{eng.queue(src).now() + kLook + jitter,
+                                   src, seq};
+                    posted[src].push_back(m);
+                    eng.post(src, 2, m.when,
+                             [&eng, &delivered, m] {
+                                 EXPECT_EQ(eng.queue(2).now(), m.when);
+                                 delivered.push_back(m);
+                             });
+                }
+            });
+        }
+    }
+    eng.run(threads);
+    BacklogRun out;
+    out.posted = posted[0];
+    out.posted.insert(out.posted.end(), posted[1].begin(),
+                      posted[1].end());
+    out.delivered = std::move(delivered);
+    out.windows = eng.windows();
+    EXPECT_EQ(eng.messagesDelivered(), out.posted.size());
+    return out;
+}
+
+} // namespace
+
+TEST(PartitionedEngine, BacklogIsDeliveredInWhenSourceSeqOrder)
+{
+    const BacklogRun serial = backlogRun(1);
+    ASSERT_EQ(serial.posted.size(), 400u);
+
+    // The workload really has a backlog, reordering and ties: some
+    // same-tick pair has the later send on source 0, some on source 1.
+    bool reordered = false, src0Later = false, src1Later = false;
+    for (std::size_t i = 1; i < 200; ++i)
+        reordered |= serial.posted[i].when < serial.posted[i - 1].when;
+    for (std::size_t i = 0; i < 200; ++i) {
+        for (std::size_t j = 200; j < 400; ++j) {
+            const Posted &a = serial.posted[i], &b = serial.posted[j];
+            if (a.when == b.when)
+                (a.seq > b.seq ? src0Later : src1Later) = true;
+        }
+    }
+    EXPECT_TRUE(reordered);
+    EXPECT_TRUE(src0Later);
+    EXPECT_TRUE(src1Later);
+
+    auto expected = serial.posted;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_GT(expected.back().when - expected.front().when, 4 * kLook);
+    EXPECT_EQ(serial.delivered, expected);
+
+    for (unsigned threads : {2u, 4u}) {
+        const BacklogRun threaded = backlogRun(threads);
+        EXPECT_EQ(threaded.delivered, serial.delivered)
+            << threads << " threads";
+        EXPECT_EQ(threaded.windows, serial.windows)
+            << threads << " threads";
+    }
 }
 
 TEST(PartitionedEngine, EventsProcessedCountsDeliveredMessages)
