@@ -36,35 +36,17 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
                    cfg_.numChips, cfg_.numBlades);
     }
 
-    if (cfg_.numChips == 1) {
-        eq_ = std::make_unique<sim::EventQueue>();
-        memory_ =
-            std::make_unique<mem::MemorySystem>("mem", *eq_, cfg_.memory);
-    } else {
-        // Each chip is a partition; the smallest link crossing latency
-        // is the conservative lookahead (nothing on one chip can affect
-        // another sooner than one crossing).
-        Tick lookahead = cfg_.memory.ioLink.crossingLatency;
-        shape.forEachLink([&](unsigned, unsigned, bool interBlade) {
-            if (interBlade) {
-                lookahead = std::min(
-                    lookahead, cfg_.memory.bladeLink.crossingLatency);
-            }
-        });
-        engine_ = std::make_unique<sim::PartitionedEngine>(
-            cfg_.numChips, lookahead);
-        std::vector<sim::EventQueue *> bankQueues;
-        for (unsigned c = 0; c < cfg_.numChips; ++c)
-            bankQueues.push_back(&engine_->queue(c));
-        memory_ = std::make_unique<mem::MemorySystem>(
-            "mem", engine_->queue(0), cfg_.memory, bankQueues);
-        memory_->links().setPartitioned(
-            [this](unsigned c) { return &engine_->queue(c); },
-            [this](unsigned src, unsigned dst, Tick when,
-                   sim::EventQueue::Callback fn) {
-                engine_->post(src, dst, when, std::move(fn));
-            });
-    }
+    // Each chip is a partition, and nothing on one chip can affect
+    // another sooner than one crossing: the lookahead is the IOIF
+    // latency, or the inter-blade one if smaller and the shape has
+    // inter-blade links.  One chip never posts and needs none.
+    Tick lookahead = cfg_.memory.ioLink.crossingLatency;
+    if (shape.blades > 1)
+        lookahead = std::min(lookahead, cfg_.memory.bladeLink.crossingLatency);
+    engine_ =
+        std::make_unique<sim::PartitionedEngine>(cfg_.numChips, lookahead);
+    memory_ = std::make_unique<mem::MemorySystem>("mem", *engine_,
+                                                  cfg_.memory);
     for (unsigned c = 0; c < cfg_.numChips; ++c) {
         eibs_.push_back(std::make_unique<eib::Eib>(
             util::format("eib%u", c), queue(c), cfg_.clock, cfg_.eib));
@@ -98,12 +80,8 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
         spes_.push_back(std::move(s));
     }
 
-    if (cfg_.simProfile) {
-        if (engine_)
-            engine_->setProfiling(true);
-        else
-            eq_->setProfiling(true);
-    }
+    if (cfg_.simProfile)
+        engine_->setProfiling(true);
 }
 
 CellSystem::~CellSystem() = default;
@@ -238,8 +216,6 @@ CellSystem::launch(sim::Task task)
 unsigned
 CellSystem::runThreads() const
 {
-    if (!engine_)
-        return 1;
     unsigned t = cfg_.simJobs;
     if (t == 0)
         t = std::thread::hardware_concurrency();
@@ -258,10 +234,7 @@ CellSystem::runThreads() const
 void
 CellSystem::run()
 {
-    if (engine_)
-        engine_->run(runThreads());
-    else
-        eq_->run();
+    engine_->run(runThreads());
     for (auto &p : programs_) {
         p.rethrow();
         if (!p.done()) {
@@ -270,16 +243,6 @@ CellSystem::run()
                        "completes?)");
         }
     }
-}
-
-template <typename F>
-void
-CellSystem::crossTo(unsigned from, unsigned to, Tick when, F &&fn)
-{
-    if (engine_ && from != to)
-        engine_->post(from, to, when, std::forward<F>(fn));
-    else
-        queue(to).scheduleAt(when, std::forward<F>(fn));
 }
 
 void
@@ -316,7 +279,8 @@ CellSystem::routeMemory(spe::LineRequest &&req)
         Tick at = queue(home).now() +
                   cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus) +
                   memory_->links().pathLatency(home, f->bank);
-        crossTo(home, f->bank, at, [this, f] { memGetAccess(f); });
+        engine_->send(home, memory_->links().partitionOf(f->bank), at,
+                      [this, f] { memGetAccess(f); });
     } else {
         // LS read, then the data rides out.
         Tick ls_done =
@@ -337,12 +301,11 @@ CellSystem::memGetRead(Flight *f)
 {
     if (!f->crossing) {
         memGetRide(f);
-    } else if (!engine_) {
-        memGetCross(f);     // the single-chip blade's far bank
+    } else if (eib::Eib *far = bankEib(f->bank)) {
+        far->transfer(eib::micRamp, eib::ioif0Ramp, f->req.bytes,
+                      [this, f] { memGetCross(f); });
     } else {
-        eibs_[f->bank]->transfer(eib::micRamp, eib::ioif0Ramp,
-                                 f->req.bytes,
-                                 [this, f] { memGetCross(f); });
+        memGetCross(f);     // the single-chip blade's far bank
     }
 }
 
@@ -404,10 +367,10 @@ void
 CellSystem::memPutStore(Flight *f)
 {
     memory_->store().write(f->req.ea, f->payload, f->req.bytes);
-    if (f->crossing && engine_) {
-        eibs_[f->bank]->transfer(eib::ioif0Ramp, eib::micRamp,
-                                 f->req.bytes,
-                                 [this, f] { memPutAck(f); });
+    eib::Eib *far = f->crossing ? bankEib(f->bank) : nullptr;
+    if (far) {
+        far->transfer(eib::ioif0Ramp, eib::micRamp, f->req.bytes,
+                      [this, f] { memPutAck(f); });
         return;
     }
     // The bank is on the issuing chip, or it is the single-chip
@@ -423,9 +386,10 @@ CellSystem::memPutAck(Flight *f)
         memory_->bank(f->bank).reserveAccess(f->req.ea, f->req.bytes, true);
     // The write acknowledgment crosses back to the issuing chip
     // (latency only, every link of the route).
-    crossTo(f->bank, f->home,
-            completion + memory_->links().pathLatency(f->bank, f->home),
-            [this, f] { finishFlight(f); });
+    engine_->send(f->bank, f->home,
+                  completion + memory_->links().pathLatency(f->bank,
+                                                            f->home),
+                  [this, f] { finishFlight(f); });
 }
 
 /**
@@ -468,7 +432,7 @@ CellSystem::routeLocalStore(spe::LineRequest &&req)
     Tick at = queue(home).now() + memory_->links().pathLatency(home, src);
     if (isGet)
         at += cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus);
-    crossTo(home, src, at, [this, f] { lsRead(f); });
+    engine_->send(home, src, at, [this, f] { lsRead(f); });
 }
 
 void
@@ -523,9 +487,9 @@ CellSystem::lsLand(Flight *f)
     // A crossing PUT lands on the far chip: its completion
     // acknowledgment crosses back to the issuing chip.
     const unsigned at = chipOf(f->dstSpe);
-    crossTo(at, f->home,
-            done_at + memory_->links().pathLatency(at, f->home),
-            [this, f] { finishFlight(f); });
+    engine_->send(at, f->home,
+                  done_at + memory_->links().pathLatency(at, f->home),
+                  [this, f] { finishFlight(f); });
 }
 
 void
@@ -624,12 +588,8 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
                 total[i].selfNs += p[i].selfNs;
             }
         };
-        if (engine_) {
-            for (unsigned p = 0; p < engine_->partitions(); ++p)
-                fold(engine_->queue(p));
-        } else {
-            fold(*eq_);
-        }
+        for (unsigned p = 0; p < engine_->partitions(); ++p)
+            fold(engine_->queue(p));
         for (std::size_t i = 0; i < total.size(); ++i) {
             if (!total[i].events)
                 continue;
@@ -641,7 +601,9 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
                                      sim::toString(tag)))
                 .add(total[i].selfNs);
         }
-        if (engine_) {
+        // One chip crosses no partition and opens no window: its
+        // report has no rows for them.
+        if (engine_->partitions() > 1) {
             reg.counter("profile.crossings.delivered")
                 .add(engine_->messagesDelivered());
             reg.counter("profile.engine.windows").add(engine_->windows());

@@ -11,18 +11,20 @@
  * everything 10 times over different mappings; our affinity policies
  * beyond Random are the extension the paper asks libspe for).
  *
- * Execution engines.  A single-chip system runs on one event queue.
- * With numChips >= 2 each chip becomes a partition of a conservative
- * parallel engine (sim::PartitionedEngine): chip-local routing stays on
- * the chip's own queue, and anything that crosses a link (the on-blade
- * IOIF or an inter-blade link — see mem::LinkGraph) travels as a
- * cross-partition message delivered at least one crossing latency
- * later; multi-hop routes re-enter the router at each intermediate
- * chip.  The partitioned schedule is fixed — --sim-jobs only chooses
- * how many worker threads execute it, so reports are bit-identical for
- * any value.
+ * Execution engine.  Every system runs on one conservative parallel
+ * engine (sim::PartitionedEngine) with one partition per chip:
+ * chip-local routing stays on the chip's own queue, and anything that
+ * crosses a link (the on-blade IOIF or an inter-blade link — see
+ * mem::LinkGraph) to another chip travels as a cross-partition message
+ * delivered at least one crossing latency later; multi-hop routes
+ * re-enter the router at each intermediate chip.  Every hand-off goes
+ * through the engine's send(), which is a plain event when both ends
+ * are one partition.  A single chip is one partition: it never posts,
+ * and its run drains one queue with no windows.  The partitioned
+ * schedule is fixed — --sim-jobs only chooses how many worker threads
+ * execute it, so reports are bit-identical for any value.
  *
- * One set of routing stages serves both engines.  Each in-flight DMA
+ * One set of routing stages serves every chip count.  Each in-flight DMA
  * line is a Flight: a slot in its home chip's arena (the issuing SPE's
  * chip) whose address never changes, holding the request, the routing
  * state and a 128-byte payload.  Every stage, on the home chip or on
@@ -35,9 +37,10 @@
  * over the link.
  *
  * The single-chip blade still has the second chip's XDR bank behind
- * the IOIF (the NUMA ablations) but not that chip's EIB: a line to the
- * far bank pays the link and the bank only, and its write completes
- * when the bank accepts it, with no acknowledgment crossing back.
+ * the IOIF (the NUMA ablations) but not that chip's EIB: the far bank
+ * runs on partition 0 (mem::LinkGraph::partitionOf), a line to it pays
+ * the link and the bank only, and its write completes when the bank
+ * accepts it, with no acknowledgment crossing back.
  *
  * @code
  *   cell::CellConfig cfg;
@@ -88,11 +91,7 @@ class CellSystem
     /** @name Component access. */
     /** @{ */
     /** Chip 0's event queue (the only queue of a single-chip system). */
-    sim::EventQueue &
-    eventQueue()
-    {
-        return engine_ ? engine_->queue(0) : *eq_;
-    }
+    sim::EventQueue &eventQueue() { return engine_->queue(0); }
     const sim::ClockSpec &clock() const { return cfg_.clock; }
     const CellConfig &config() const { return cfg_; }
     /** The seed this run was built with (workloads derive their own
@@ -104,8 +103,8 @@ class CellSystem
     ppe::Ppu &ppu() { return *ppu_; }
     mem::MemorySystem &memory() { return *memory_; }
     eib::Eib &eib(unsigned chip = 0);
-    /** The partitioned engine, or nullptr on a single-chip system. */
-    sim::PartitionedEngine *engine() { return engine_.get(); }
+    /** The engine: one partition per chip. */
+    sim::PartitionedEngine &engine() { return *engine_; }
     /** @} */
 
     /** Allocate main memory with the config's NUMA policy. */
@@ -172,11 +171,7 @@ class CellSystem
     const VerifyStats &verifyStats() const { return verifyStats_; }
     /** @} */
 
-    Tick
-    now() const
-    {
-        return engine_ ? engine_->lastDispatchTick() : eq_->now();
-    }
+    Tick now() const { return engine_->lastDispatchTick(); }
 
     /** Seconds of simulated time elapsed since construction. */
     double seconds() const { return cfg_.clock.seconds(now()); }
@@ -263,17 +258,15 @@ class CellSystem
 
     void releaseFlight(Flight *f) { arenas_[f->home].release(f); }
 
-    sim::EventQueue &
-    queue(unsigned chip)
-    {
-        return engine_ ? engine_->queue(chip) : *eq_;
-    }
+    sim::EventQueue &queue(unsigned chip) { return engine_->queue(chip); }
 
-    /** Run @p fn at tick @p when on chip @p to, sent from chip @p from:
-     *  a cross-partition message between two partitions, else an event
-     *  on @p to's queue (the one queue of a single-chip system). */
-    template <typename F>
-    void crossTo(unsigned from, unsigned to, Tick when, F &&fn);
+    /** The EIB on bank @p b's chip, or nullptr for the single-chip
+     *  blade's far bank, which has no chip of its own. */
+    eib::Eib *
+    bankEib(unsigned b)
+    {
+        return b < eibs_.size() ? eibs_[b].get() : nullptr;
+    }
 
     void buildPlacement(std::uint64_t seed);
 
@@ -305,8 +298,7 @@ class CellSystem
 
     CellConfig cfg_;
     std::uint64_t placementSeed_ = 0;
-    std::unique_ptr<sim::EventQueue> eq_;            ///< numChips == 1
-    std::unique_ptr<sim::PartitionedEngine> engine_; ///< numChips >= 2
+    std::unique_ptr<sim::PartitionedEngine> engine_;
     std::unique_ptr<mem::MemorySystem> memory_;
     std::vector<std::unique_ptr<eib::Eib>> eibs_;
     std::unique_ptr<ppe::Ppu> ppu_;

@@ -1,6 +1,7 @@
 #include "cell/config.hh"
 
 #include <climits>
+#include <cmath>
 
 #include "sim/logging.hh"
 #include "util/strings.hh"
@@ -16,6 +17,11 @@ bytesPerTick(double gbps, double cpuHz)
 {
     return gbps * 1e9 / cpuHz;
 }
+
+/** The most ticks a flag's duration, or one line's service at a flag's
+ *  rate, may take: latencies add up along a route and onto the clock,
+ *  so each stays far inside Tick, like the 32-bit cycle flags. */
+constexpr double kMaxFlagTicks = 4294967295.0;
 
 } // namespace
 
@@ -121,16 +127,18 @@ CellConfig::registerOptions(util::Options &opts)
                  u32);
     opts.addUint("spes", 8, "number of SPEs", u32);
     opts.addUint("rings", 4, "EIB data rings", u32);
-    opts.addUint("eib-cmd-latency", 20, "EIB command phase, bus cycles");
+    opts.addUint("eib-cmd-latency", 20, "EIB command phase, bus cycles",
+                 u32);
     opts.addUint("mfc-queue-depth", 16, "MFC command queue entries", u32);
     opts.addUint("mfc-mem-tokens", 18,
                  "MFC outstanding 128B lines to main memory", u32);
     opts.addUint("mfc-ls-lines", 64,
                  "MFC outstanding 128B lines to LS apertures", u32);
     opts.addUint("dma-elem-overhead", 24,
-                 "MFC issue occupancy per DMA command, bus cycles");
+                 "MFC issue occupancy per DMA command, bus cycles", u32);
     opts.addUint("dma-list-elem-overhead", 2,
-                 "extra issue occupancy per DMA-list element, bus cycles");
+                 "extra issue occupancy per DMA-list element, bus cycles",
+                 u32);
     opts.addDouble("bank0-gbps", 15.5, "local XDR bank sustained GB/s");
     opts.addDouble("bank1-gbps", 15.5, "remote XDR bank sustained GB/s");
     opts.addDouble("io-gbps", 7.0, "IOIF link GB/s per direction");
@@ -186,7 +194,35 @@ CellConfig
 CellConfig::fromOptions(const util::Options &opts)
 {
     CellConfig cfg;
-    cfg.clock.cpuHz = opts.getDouble("cpu-ghz") * 1e9;
+    // A machine flag must leave the clock sane: the clock and every
+    // rate positive, no latency negative, and no duration or line
+    // service past kMaxFlagTicks.  NaN and infinities never parse.
+    const double ghz = opts.getDouble("cpu-ghz");
+    cfg.clock.cpuHz = ghz * 1e9;
+    if (!(ghz > 0.0) || !std::isfinite(cfg.clock.cpuHz))
+        sim::fatal("--cpu-ghz must be positive and finite, not %g", ghz);
+    auto rate = [&](const char *flag) {
+        const double gbps = opts.getDouble(flag);
+        const double perTick = bytesPerTick(gbps, cfg.clock.cpuHz);
+        if (!(gbps > 0.0))
+            sim::fatal("--%s must be positive, not %g", flag, gbps);
+        if (spe::lineBytes / perTick > kMaxFlagTicks) {
+            sim::fatal("--%s %g GB/s moves a %u-byte line in more than "
+                       "%.0f ticks", flag, gbps, spe::lineBytes,
+                       kMaxFlagTicks);
+        }
+        return perTick;
+    };
+    auto duration = [&](const char *flag) {
+        const double ns = opts.getDouble(flag);
+        if (ns < 0.0)
+            sim::fatal("--%s must not be negative, not %g", flag, ns);
+        if (ns * 1e-9 * cfg.clock.cpuHz + 0.5 > kMaxFlagTicks) {
+            sim::fatal("--%s %g ns is more than %.0f ticks", flag, ns,
+                       kMaxFlagTicks);
+        }
+        return cfg.clock.fromNs(ns);
+    };
     cfg.numChips = static_cast<unsigned>(opts.getUint("chips"));
     if (cfg.numChips < 1) {
         sim::fatal("--chips must be at least 1");
@@ -221,38 +257,31 @@ CellConfig::fromOptions(const util::Options &opts)
     cfg.spe.mfc.listElemOverheadBus =
         opts.getUint("dma-list-elem-overhead");
 
-    cfg.memory.bank0.bytesPerTick =
-        bytesPerTick(opts.getDouble("bank0-gbps"), cfg.clock.cpuHz);
-    cfg.memory.bank1.bytesPerTick =
-        bytesPerTick(opts.getDouble("bank1-gbps"), cfg.clock.cpuHz);
-    cfg.memory.ioLink.bytesPerTick =
-        bytesPerTick(opts.getDouble("io-gbps"), cfg.clock.cpuHz);
-    cfg.memory.ioLink.crossingLatency =
-        cfg.clock.fromNs(opts.getDouble("ioif-latency"));
-    cfg.memory.bladeLink.bytesPerTick =
-        bytesPerTick(opts.getDouble("blade-link-gbps"), cfg.clock.cpuHz);
-    cfg.memory.bladeLink.crossingLatency =
-        cfg.clock.fromNs(opts.getDouble("blade-latency"));
+    cfg.memory.bank0.bytesPerTick = rate("bank0-gbps");
+    cfg.memory.bank1.bytesPerTick = rate("bank1-gbps");
+    cfg.memory.ioLink.bytesPerTick = rate("io-gbps");
+    cfg.memory.ioLink.crossingLatency = duration("ioif-latency");
+    cfg.memory.bladeLink.bytesPerTick = rate("blade-link-gbps");
+    cfg.memory.bladeLink.crossingLatency = duration("blade-latency");
     cfg.memory.numChips = cfg.numChips;
     cfg.memory.numBlades = cfg.numBlades;
-    cfg.memory.bank0.accessLatency =
-        cfg.clock.fromNs(opts.getDouble("mem-latency-ns"));
+    cfg.memory.bank0.accessLatency = duration("mem-latency-ns");
     cfg.memory.bank1.accessLatency = cfg.memory.bank0.accessLatency;
     cfg.memory.bank0.rowTiming = opts.getBool("mem-row-timing");
-    cfg.memory.bank0.rowHitLatency =
-        cfg.clock.fromNs(opts.getDouble("mem-row-hit-ns"));
-    cfg.memory.bank0.rowMissPenalty =
-        cfg.clock.fromNs(opts.getDouble("mem-row-miss-ns"));
+    cfg.memory.bank0.rowHitLatency = duration("mem-row-hit-ns");
+    cfg.memory.bank0.rowMissPenalty = duration("mem-row-miss-ns");
     cfg.memory.bank0.rowBytes = opts.getUint("mem-row-bytes");
     cfg.memory.bank1.rowTiming = cfg.memory.bank0.rowTiming;
     cfg.memory.bank1.rowHitLatency = cfg.memory.bank0.rowHitLatency;
     cfg.memory.bank1.rowMissPenalty = cfg.memory.bank0.rowMissPenalty;
     cfg.memory.bank1.rowBytes = cfg.memory.bank0.rowBytes;
 
+    const double share = opts.getDouble("bank0-share");
+    if (share < 0.0 || share > 1.0)
+        sim::fatal("--bank0-share %g is not a fraction in [0, 1]", share);
     const std::string &numa = opts.getString("numa");
     if (numa == "interleave") {
-        cfg.numa = mem::NumaPolicy::interleave(
-            opts.getDouble("bank0-share"));
+        cfg.numa = mem::NumaPolicy::interleave(share);
     } else if (numa == "local") {
         cfg.numa = mem::NumaPolicy::local();
     } else if (numa == "remote") {
@@ -269,7 +298,7 @@ CellConfig::fromOptions(const util::Options &opts)
     faults.dropRate = opts.getDouble("fault-drop-rate");
     faults.corruptRate = opts.getDouble("fault-corrupt-rate");
     faults.delayRate = opts.getDouble("fault-delay-rate");
-    faults.delayTicks = cfg.clock.fromNs(opts.getDouble("fault-delay-ns"));
+    faults.delayTicks = duration("fault-delay-ns");
     faults.seed = opts.getUint("fault-seed");
     if (faults.dropRate < 0.0 || faults.corruptRate < 0.0 ||
         faults.delayRate < 0.0 ||

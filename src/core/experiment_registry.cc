@@ -1,6 +1,7 @@
 #include "core/experiment_registry.hh"
 
 #include <cstdio>
+#include <exception>
 #include <optional>
 
 #include "core/worker_pool.hh"
@@ -86,7 +87,15 @@ runExperimentCli(const std::string &name, int argc,
         pool.emplace(jobs);
         ctx.par.pool = &*pool;
     }
-    return e->body(ctx);
+    // A config the simulator rejects mid-run (say, an EIB with no
+    // rings) is the user's error, reported like `suite` and `serve` do.
+    try {
+        return e->body(ctx);
+    } catch (const std::exception &ex) {
+        std::fprintf(stderr, "cellbw run: %s: %s\n", e->name.c_str(),
+                     ex.what());
+        return 1;
+    }
 }
 
 } // namespace cellbw::core

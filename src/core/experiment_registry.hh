@@ -91,8 +91,8 @@ class ExperimentRegistry
  * `cellbw run` behind one call: look up @p name, build its context,
  * parse @p argv (argv[0] is ignored), and run the body with its batch
  * of runs on one WorkerPool of width(--jobs) workers (inline when that
- * is 1).  @return the process exit code; unknown names and parse
- * errors (including --help) return 1.
+ * is 1).  @return the process exit code; unknown names, parse errors
+ * (including --help) and errors the body throws return 1.
  */
 int runExperimentCli(const std::string &name, int argc,
                      const char *const *argv);

@@ -8,11 +8,12 @@
 namespace cellbw::mem
 {
 
-IoLink::IoLink(std::string name, sim::EventQueue &eq, const IoLinkParams &p)
-    : sim::SimObject(std::move(name), eq), params_(p)
+IoLink::IoLink(std::string name, sim::PartitionedEngine &engine,
+               unsigned lo, unsigned hi, const IoLinkParams &p)
+    : name_(std::move(name)), engine_(engine), end_{lo, hi}, params_(p)
 {
     if (params_.bytesPerTick <= 0.0)
-        sim::fatal("%s: IO link rate must be positive", this->name().c_str());
+        sim::fatal("%s: IO link rate must be positive", name_.c_str());
 }
 
 Tick
@@ -23,7 +24,7 @@ IoLink::reserveSend(Dir dir, std::uint32_t bytes)
         static_cast<Tick>(std::ceil(bytes / params_.bytesPerTick));
     if (service == 0)
         service = 1;
-    Tick start = std::max(laneNow(d), freeAt_[d]);
+    Tick start = std::max(engine_.queue(end_[d]).now(), freeAt_[d]);
     freeAt_[d] = start + service;
     bytesSent_[d] += bytes;
     return freeAt_[d] + params_.crossingLatency;

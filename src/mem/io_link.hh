@@ -5,16 +5,19 @@
  * On the dual-Cell blade the second chip's XDR bank is reached through
  * the IOIF, which the paper quotes at 7 GB/s.  The link serializes
  * traffic per direction at that rate and adds a fixed crossing latency.
+ * Each end of a link is a partition of the simulation's engine, and a
+ * crossing completes on the receiving end's partition through
+ * sim::PartitionedEngine::send().
  */
 
 #ifndef CELLBW_MEM_IO_LINK_HH
 #define CELLBW_MEM_IO_LINK_HH
 
 #include <cstdint>
-#include <functional>
+#include <string>
 #include <utility>
 
-#include "sim/sim_object.hh"
+#include "sim/parallel.hh"
 
 namespace cellbw::mem
 {
@@ -28,7 +31,7 @@ struct IoLinkParams
     Tick crossingLatency = 126;
 };
 
-class IoLink : public sim::SimObject
+class IoLink
 {
   public:
     /** Lanes, named from the link's lower-numbered chip: Outbound
@@ -36,46 +39,31 @@ class IoLink : public sim::SimObject
      *  IOIF, away from and toward chip 0). */
     enum class Dir { Outbound = 0, Inbound = 1 };
 
-    IoLink(std::string name, sim::EventQueue &eq, const IoLinkParams &p);
-
-    using Callback = sim::EventQueue::Callback;
-
     /**
-     * Partitioned-simulation hook (see cell/cell_system).  A crossing's
-     * completion always belongs to the *destination* chip; when the
-     * chips run on separate event queues, the hook carries the callback
-     * into the far partition instead of the local queue.  @p loQueue
-     * and @p hiQueue are the queues of the link's lower- and
-     * higher-numbered chip, which send on the Outbound and the Inbound
-     * lane respectively; a lane's reservation clock reads its sender's
-     * tick.
+     * A link between partitions @p lo and @p hi of @p engine, those of
+     * its lower- and higher-numbered chip (one partition when both ends
+     * run on it).  Outbound sends from @p lo, Inbound from @p hi; a
+     * lane's reservation clock reads its sender's queue.
      */
-    using RemotePost = std::function<void(Dir, Tick, Callback)>;
-
-    void
-    setPartitioned(sim::EventQueue *loQueue, sim::EventQueue *hiQueue,
-                   RemotePost post)
-    {
-        srcQueue_[static_cast<int>(Dir::Outbound)] = loQueue;
-        srcQueue_[static_cast<int>(Dir::Inbound)] = hiQueue;
-        post_ = std::move(post);
-    }
+    IoLink(std::string name, sim::PartitionedEngine &engine, unsigned lo,
+           unsigned hi, const IoLinkParams &p);
 
     /**
      * Send @p bytes across the link in direction @p dir; @p onDone fires
-     * when the tail of the message arrives on the far side.
+     * on the receiving end's partition when the tail of the message
+     * arrives there.
      */
     template <typename F>
     void
     send(Dir dir, std::uint32_t bytes, F &&onDone)
     {
+        const int d = static_cast<int>(dir);
         const Tick arrival = reserveSend(dir, bytes);
-        if (post_) [[unlikely]] {
-            post_(dir, arrival, Callback(std::forward<F>(onDone)));
-        } else {
-            sim::TagScope tag(eventQueue(), sim::EventTag::IoLink);
-            eventQueue().scheduleAt(arrival, std::forward<F>(onDone));
-        }
+        // A completion on the sender's own partition is booked as a
+        // link event here; a post is booked so at delivery.
+        sim::TagScope tag(engine_.queue(end_[d]), sim::EventTag::IoLink);
+        engine_.send(end_[d], end_[1 - d], arrival,
+                     std::forward<F>(onDone));
     }
 
     /**
@@ -92,18 +80,13 @@ class IoLink : public sim::SimObject
     Tick crossingLatency() const { return params_.crossingLatency; }
 
   private:
-    /** Current tick of the queue that drives lane @p d's senders. */
-    Tick
-    laneNow(int d) const
-    {
-        return srcQueue_[d] ? srcQueue_[d]->now() : curTick();
-    }
-
+    std::string name_;
+    sim::PartitionedEngine &engine_;
+    /** Partition of the lane's sender: [Outbound] = lo, [Inbound] = hi. */
+    unsigned end_[2];
     IoLinkParams params_;
     Tick freeAt_[2] = {0, 0};
     std::uint64_t bytesSent_[2] = {0, 0};
-    sim::EventQueue *srcQueue_[2] = {nullptr, nullptr};
-    RemotePost post_;
 };
 
 } // namespace cellbw::mem

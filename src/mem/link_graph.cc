@@ -10,10 +10,11 @@
 namespace cellbw::mem
 {
 
-LinkGraph::LinkGraph(const std::string &prefix, sim::EventQueue &eq,
+LinkGraph::LinkGraph(const std::string &prefix,
+                     sim::PartitionedEngine &engine,
                      eib::ClusterShape shape, const IoLinkParams &ioif,
                      const IoLinkParams &bladeLink)
-    : shape_(shape)
+    : shape_(shape), partitions_(engine.partitions())
 {
     if (!shape_.valid()) {
         sim::fatal("invalid cluster shape: %u chips on %u blades",
@@ -35,8 +36,9 @@ LinkGraph::LinkGraph(const std::string &prefix, sim::EventQueue &eq,
             idx_[hi * shape_.chips + lo] =
                 static_cast<int>(edges_.size());
         edges_.push_back(
-            {lo, hi, interBlade, suffix,
-             std::make_unique<IoLink>(prefix + "." + suffix, eq,
+            {interBlade, suffix,
+             std::make_unique<IoLink>(prefix + "." + suffix, engine,
+                                      partitionOf(lo), partitionOf(hi),
                                       interBlade ? bladeLink : ioif)});
     });
 }

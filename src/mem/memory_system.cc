@@ -9,24 +9,21 @@
 namespace cellbw::mem
 {
 
-MemorySystem::MemorySystem(std::string name, sim::EventQueue &eq,
-                           const MemorySystemParams &params,
-                           const std::vector<sim::EventQueue *> &bankQueues)
-    : sim::SimObject(std::move(name), eq),
-      allocator_(params.pageBytes, std::max(params.numChips, 2u)),
+MemorySystem::MemorySystem(const std::string &name,
+                           sim::PartitionedEngine &engine,
+                           const MemorySystemParams &params)
+    : allocator_(params.pageBytes, std::max(params.numChips, 2u)),
       numBanks_(std::max(params.numChips, 2u))
 {
+    links_ = std::make_unique<LinkGraph>(
+        name, engine, eib::ClusterShape::of(numBanks_, params.numBlades),
+        params.ioLink, params.bladeLink);
     for (unsigned b = 0; b < numBanks_; ++b) {
-        sim::EventQueue &bq =
-            b < bankQueues.size() && bankQueues[b] ? *bankQueues[b] : eq;
         banks_.push_back(std::make_unique<DramBank>(
-            this->name() + util::format(".bank%u", b), bq,
+            name + util::format(".bank%u", b),
+            engine.queue(links_->partitionOf(b)),
             b == 0 ? params.bank0 : params.bank1));
     }
-    links_ = std::make_unique<LinkGraph>(
-        this->name(), eq,
-        eib::ClusterShape::of(numBanks_, params.numBlades),
-        params.ioLink, params.bladeLink);
 }
 
 EffAddr

@@ -20,7 +20,6 @@
 #include "mem/dram_bank.hh"
 #include "mem/link_graph.hh"
 #include "mem/page_allocator.hh"
-#include "sim/sim_object.hh"
 
 namespace cellbw::mem
 {
@@ -42,17 +41,13 @@ struct MemorySystemParams
     unsigned numBlades = 0;    ///< 0 = auto: two chips per blade
 };
 
-class MemorySystem : public sim::SimObject
+class MemorySystem
 {
   public:
-    /**
-     * @p bankQueues binds bank i to another event queue (chip i's
-     * partition in a partitioned simulation); by default every bank
-     * lives on @p eq.
-     */
-    MemorySystem(std::string name, sim::EventQueue &eq,
-                 const MemorySystemParams &params,
-                 const std::vector<sim::EventQueue *> &bankQueues = {});
+    /** Bank i runs on chip i's partition of @p engine
+     *  (LinkGraph::partitionOf). */
+    MemorySystem(const std::string &name, sim::PartitionedEngine &engine,
+                 const MemorySystemParams &params);
 
     /** Allocate simulated memory; returns the base effective address. */
     EffAddr alloc(std::uint64_t bytes, const NumaPolicy &policy);

@@ -17,7 +17,7 @@ PartitionedEngine::PartitionedEngine(unsigned partitions, Tick lookahead)
 {
     if (n_ == 0)
         fatal("partitioned engine needs at least one partition");
-    if (lookahead_ == 0)
+    if (lookahead_ == 0 && n_ > 1)
         fatal("partitioned engine needs a positive lookahead");
     queues_.reserve(n_);
     for (unsigned p = 0; p < n_; ++p)
@@ -33,6 +33,8 @@ PartitionedEngine::post(unsigned src, unsigned dst, Tick when,
 {
     if (src >= n_ || dst >= n_)
         panic("post between unknown partitions %u -> %u", src, dst);
+    if (src == dst)
+        panic("post within partition %u: use send()", src);
     Tick src_now = queues_[src]->now();
     if (when < src_now + lookahead_) {
         panic("cross-partition post at tick %llu from partition %u "
@@ -105,7 +107,9 @@ PartitionedEngine::openWindow(Tick &windowEnd)
 std::uint64_t
 PartitionedEngine::run(unsigned threads)
 {
-    if (threads > 1 && n_ > 1)
+    if (n_ == 1)
+        return queues_[0]->run();
+    if (threads > 1)
         return runWindowsThreaded(std::min(threads, n_));
     return runWindowsSerial();
 }

@@ -31,6 +31,12 @@
  * every event in a window executes at t >= tmin, a compliant message
  * lands at >= tmin + L, strictly beyond the window's end — no partition
  * can ever receive a message for a tick it has already passed.
+ *
+ * Callers that may or may not cross use send(): work for the sender's
+ * own partition is a plain event on its queue, anything else a post().
+ * An engine of one partition therefore never posts; its run() drains
+ * the one queue with EventQueue::run(), opens no window, and needs no
+ * positive lookahead.
  */
 
 #ifndef CELLBW_SIM_PARALLEL_HH
@@ -38,6 +44,7 @@
 
 #include <compare>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -68,9 +75,25 @@ class PartitionedEngine
     void post(unsigned src, unsigned dst, Tick when, EventQueue::Callback fn);
 
     /**
+     * Run @p fn at tick @p when on partition @p dst, sent from
+     * partition @p src: an event on @p dst's queue when the two are
+     * one partition, else a post().
+     */
+    template <typename F>
+    void
+    send(unsigned src, unsigned dst, Tick when, F &&fn)
+    {
+        if (src == dst)
+            queues_[dst]->scheduleAt(when, std::forward<F>(fn));
+        else
+            post(src, dst, when, EventQueue::Callback(std::forward<F>(fn)));
+    }
+
+    /**
      * Run every partition until no events or undelivered messages
      * remain.  @p threads worker threads execute the windows
-     * (1 = serial); results are identical for any value.  If events
+     * (1 = serial); results are identical for any value.  One
+     * partition runs its queue to the end with no windows.  If events
      * throw, run() rethrows the error of the lowest-numbered partition
      * that threw in the first failing window, for any @p threads.
      * @return total events processed across all partitions.

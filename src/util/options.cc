@@ -1,6 +1,7 @@
 #include "util/options.hh"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -98,7 +99,7 @@ Options::assign(const std::string &name, const std::string &value)
             auto res = std::from_chars(v.data(), v.data() + v.size(),
                                        parsed);
             if (res.ec != std::errc() ||
-                res.ptr != v.data() + v.size())
+                res.ptr != v.data() + v.size() || !std::isfinite(parsed))
                 throw std::invalid_argument("bad double");
             break;
           }

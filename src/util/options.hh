@@ -40,6 +40,7 @@ class Options
     void addUint(const std::string &name, std::uint64_t def,
                  const std::string &help,
                  std::uint64_t max = UINT64_MAX);
+    /** NaN and infinities fail the parse. */
     void addDouble(const std::string &name, double def,
                    const std::string &help);
     void addBool(const std::string &name, bool def, const std::string &help);

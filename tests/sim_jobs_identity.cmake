@@ -67,7 +67,7 @@ run_quiet(run cluster_halo --quick --jobs 1 --sim-jobs 1
 expect_identical(cluster_serial.json cluster_j1.json
                  "cluster_halo --jobs 1 vs 4")
 
-# --- single-chip: --sim-jobs must be a no-op on one event queue -----
+# --- single-chip: --sim-jobs must be a no-op on a one-partition engine
 foreach(jobs 1 4)
     run_quiet(run fig08_spe_mem --quick --sim-jobs ${jobs}
               --json fig08_j${jobs}.json)

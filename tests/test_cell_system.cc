@@ -5,6 +5,7 @@
 #include <set>
 
 #include "cell/cell_system.hh"
+#include "stats/metrics.hh"
 #include "test_util.hh"
 
 using namespace cellbw;
@@ -173,6 +174,30 @@ TEST(CellSystem, FarBankLinesCrossTheIoif)
               bytes);
     EXPECT_EQ(sys.memory().ioLink().bytesSent(mem::IoLink::Dir::Inbound),
               0u);
+}
+
+TEST(CellSystem, ProfiledSingleChipHasNoWindowRows)
+{
+    // One chip is one partition: a far-bank line's link crossing is an
+    // event on it, booked as iolink, and the profile has no window or
+    // delivery rows, as the engine opens no window and posts nothing.
+    cell::CellConfig cfg;
+    cfg.simProfile = true;
+    cell::CellSystem sys(cfg, 1);
+    const std::uint32_t bytes = 16 * 1024;
+    EffAddr src = sys.malloc(bytes, mem::NumaPolicy::remote());
+    sys.launch(getProgram(sys, 0, 0, src, bytes));
+    sys.run();
+    EXPECT_EQ(sys.engine().partitions(), 1u);
+    EXPECT_EQ(sys.engine().windows(), 0u);
+    EXPECT_EQ(sys.engine().messagesDelivered(), 0u);
+    stats::MetricsRegistry reg;
+    sys.snapshotMetrics(reg);
+    const auto *iolink = reg.findCounter("profile.iolink.events");
+    ASSERT_NE(iolink, nullptr);
+    EXPECT_EQ(iolink->value(), bytes / spe::lineBytes);
+    EXPECT_EQ(reg.findCounter("profile.engine.windows"), nullptr);
+    EXPECT_EQ(reg.findCounter("profile.crossings.delivered"), nullptr);
 }
 
 TEST(CellSystem, SpeToSpeGetAndPut)

@@ -1,7 +1,7 @@
 # Exercises the cellbw driver's error paths end to end: unknown
 # experiment names, malformed manifests, a corrupted cache entry
-# (which must degrade to a miss, not poison the run), and validate
-# against a missing baseline directory.
+# (which must degrade to a miss, not poison the run), validate
+# against a missing baseline directory, and bad flag values.
 #
 # Usage:
 #   cmake -DCELLBW=<cellbw> -DWORKDIR=<scratch dir> -P test_cellbw_cli.cmake
@@ -159,6 +159,27 @@ endforeach()
 run_cellbw(bigruns 1 run fig10_sync_sweep --quick --runs 4294967296)
 if(NOT bigruns_err MATCHES "bad value for --runs: '4294967296'")
     message(FATAL_ERROR "run --runs 4294967296 message:\n${bigruns_err}")
+endif()
+
+# A NaN clock once ran forever (tab01 normally takes 0.1 s); bad machine
+# values exit 1 with a message before anything is simulated.
+execute_process(
+    COMMAND "${CELLBW}" run tab01_peaks --quick --runs 1 --cpu-ghz nan
+    WORKING_DIRECTORY "${WORKDIR}"
+    OUTPUT_VARIABLE nan_out
+    ERROR_VARIABLE nan_err
+    RESULT_VARIABLE nan_rc
+    TIMEOUT 10)
+if(NOT nan_rc EQUAL 1 OR NOT nan_err MATCHES "bad value for --cpu-ghz")
+    message(FATAL_ERROR "run --cpu-ghz nan: rc=${nan_rc}\n${nan_err}")
+endif()
+
+# An error the experiment throws mid-run exits 1 with its message, not
+# SIGABRT from an uncaught exception.
+run_cellbw(norings 1 run fig08_spe_mem --quick --rings 0)
+if(NOT norings_err MATCHES
+       "cellbw run: fig08_spe_mem: EIB needs at least one data ring")
+    message(FATAL_ERROR "run --rings 0 message:\n${norings_err}")
 endif()
 
 message(STATUS "cellbw CLI error paths behave")

@@ -85,8 +85,8 @@ TEST(ClusterShape, LinkEnumeration)
 
 TEST(LinkGraph, EdgesAndNames)
 {
-    sim::EventQueue eq;
-    mem::LinkGraph g("mem", eq, eib::ClusterShape::of(4, 2),
+    sim::PartitionedEngine eng(4, 84);
+    mem::LinkGraph g("mem", eng, eib::ClusterShape::of(4, 2),
                      linkParams(3.33, 84), linkParams(1.0, 840));
     ASSERT_EQ(g.numLinks(), 3u);
     EXPECT_EQ(g.edge(0).suffix, "ioif");
@@ -108,9 +108,9 @@ TEST(LinkGraph, EdgesAndNames)
 
 TEST(LinkGraph, GatewayRoutingAndLatency)
 {
-    sim::EventQueue eq;
     const Tick ioif = 84, blade = 840;
-    mem::LinkGraph g("mem", eq, eib::ClusterShape::of(4, 2),
+    sim::PartitionedEngine eng(4, ioif);
+    mem::LinkGraph g("mem", eng, eib::ClusterShape::of(4, 2),
                      linkParams(3.33, ioif), linkParams(1.0, blade));
 
     // Direct neighbours: one hop, lane named from the lower chip's
@@ -142,10 +142,34 @@ TEST(LinkGraph, GatewayRoutingAndLatency)
     EXPECT_EQ(g.minCrossingLatency(), ioif);
 }
 
+TEST(LinkGraph, OneChipsFarBankRunsOnPartitionZero)
+{
+    // The single-chip blade: two banks, one chip.  Both ends of its
+    // IOIF are partition 0, so a crossing is an event there, not a
+    // post.
+    sim::PartitionedEngine eng(1, 0);
+    mem::LinkGraph g("mem", eng, eib::ClusterShape::of(2, 0),
+                     linkParams(4.0, 10), linkParams(1.0, 840));
+    EXPECT_EQ(g.partitionOf(0), 0u);
+    EXPECT_EQ(g.partitionOf(1), 0u);
+    Tick done = 0;
+    g.sendData(1, 0, 128, [&] { done = eng.queue(0).now(); });
+    eng.run(1);
+    EXPECT_EQ(done, 42u);       // 32 serialize + 10 crossing
+    EXPECT_EQ(eng.messagesDelivered(), 0u);
+    EXPECT_EQ(g.link(0).bytesSent(mem::IoLink::Dir::Inbound), 128u);
+
+    sim::PartitionedEngine four(4, 84);
+    mem::LinkGraph cluster("mem", four, eib::ClusterShape::of(4, 2),
+                           linkParams(3.33, 84), linkParams(1.0, 840));
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_EQ(cluster.partitionOf(c), c);
+}
+
 TEST(LinkGraph, InvalidShapeIsFatal)
 {
-    sim::EventQueue eq;
-    EXPECT_THROW(mem::LinkGraph("mem", eq, eib::ClusterShape::of(5, 2),
+    sim::PartitionedEngine eng(5, 84);
+    EXPECT_THROW(mem::LinkGraph("mem", eng, eib::ClusterShape::of(5, 2),
                                 linkParams(3.33, 84),
                                 linkParams(1.0, 840)),
                  sim::FatalError);

@@ -84,6 +84,27 @@ TEST(CellConfig, BadValuesAreFatal)
     EXPECT_THROW(parse({"--numa=bogus"}), sim::FatalError);
     EXPECT_THROW(parse({"--affinity=bogus"}), sim::FatalError);
     EXPECT_THROW(parse({"--placement=bogus"}), sim::FatalError);
+    // Values that would poison the clock: NaN and infinities, a
+    // non-positive clock or rate, a negative latency, a duration or a
+    // line's service past 2^32 - 1 ticks, a cycle count past 2^32 - 1
+    // and a share outside [0, 1].
+    for (const char *bad :
+         {"--cpu-ghz=nan", "--cpu-ghz=inf", "--cpu-ghz=0", "--cpu-ghz=-2",
+          "--cpu-ghz=1e300", "--io-gbps=0", "--bank0-gbps=-1",
+          "--blade-link-gbps=1e-18", "--ioif-latency=-40",
+          "--mem-latency-ns=-10", "--blade-latency=1e300",
+          "--fault-delay-ns=nan", "--fault-drop-rate=nan",
+          "--eib-cmd-latency=18446744073709551615",
+          "--dma-elem-overhead=4294967296",
+          "--dma-list-elem-overhead=4294967296", "--bank0-share=1.5",
+          "--bank0-share=-0.1"}) {
+        EXPECT_THROW(parse({bad}), sim::FatalError) << bad;
+    }
+    // The edges of each range are fine.
+    auto edges = parse({"--ioif-latency=0", "--eib-cmd-latency=4294967295",
+                        "--bank0-share=1"});
+    EXPECT_EQ(edges.memory.ioLink.crossingLatency, 0u);
+    EXPECT_EQ(edges.eib.cmdLatencyBus, 4294967295u);
     // Two chips raise the SPE ceiling.
     auto cfg = parse({"--chips=2", "--spes=16"});
     EXPECT_EQ(cfg.numSpes, 16u);

@@ -11,6 +11,7 @@
 #include "mem/memory_system.hh"
 #include "mem/page_allocator.hh"
 #include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
 
 using namespace cellbw;
@@ -350,35 +351,69 @@ TEST(DramBank, InvalidParamsAreFatal)
 /*  IoLink                                                              */
 /* ------------------------------------------------------------------ */
 
-TEST(IoLink, DirectionsAreIndependent)
+namespace
 {
-    sim::EventQueue eq;
+
+mem::IoLinkParams
+linkParams()
+{
     mem::IoLinkParams p;
     p.bytesPerTick = 4.0;
     p.crossingLatency = 10;
-    mem::IoLink link("io", eq, p);
+    return p;
+}
+
+} // namespace
+
+TEST(IoLink, DirectionsAreIndependent)
+{
+    // Both ends on one partition, as the single-chip blade's IOIF.
+    sim::PartitionedEngine eng(1, 0);
+    sim::EventQueue &eq = eng.queue(0);
+    mem::IoLink link("io", eng, 0, 0, linkParams());
     Tick out_done = 0, in_done = 0;
     link.send(mem::IoLink::Dir::Outbound, 128, [&] { out_done = eq.now(); });
     link.send(mem::IoLink::Dir::Inbound, 128, [&] { in_done = eq.now(); });
-    eq.run();
+    eng.run(1);
     EXPECT_EQ(out_done, 42u);   // 32 serialize + 10 crossing
     EXPECT_EQ(in_done, 42u);    // not serialized behind outbound
     EXPECT_EQ(link.bytesSent(mem::IoLink::Dir::Outbound), 128u);
+    EXPECT_EQ(eng.messagesDelivered(), 0u);
 }
 
 TEST(IoLink, SameDirectionSerializes)
 {
-    sim::EventQueue eq;
-    mem::IoLinkParams p;
-    p.bytesPerTick = 4.0;
-    p.crossingLatency = 10;
-    mem::IoLink link("io", eq, p);
+    sim::PartitionedEngine eng(1, 0);
+    sim::EventQueue &eq = eng.queue(0);
+    mem::IoLink link("io", eng, 0, 0, linkParams());
     Tick a = 0, b = 0;
     link.send(mem::IoLink::Dir::Inbound, 128, [&] { a = eq.now(); });
     link.send(mem::IoLink::Dir::Inbound, 128, [&] { b = eq.now(); });
-    eq.run();
+    eng.run(1);
     EXPECT_EQ(a, 42u);
     EXPECT_EQ(b, 74u);
+}
+
+TEST(IoLink, CrossingCompletesOnTheReceivingPartition)
+{
+    // Partition 1's clock stops at 69 after a first window; partition 0
+    // sends at tick 100 of the next.  The Outbound lane starts from its
+    // sender's clock (a lane reading partition 1's would land at 111),
+    // and the tail arrives as a post on partition 1's queue.
+    sim::PartitionedEngine eng(2, 10);
+    mem::IoLink link("io", eng, 0, 1, linkParams());
+    Tick done = 0;
+    eng.queue(1).scheduleAt(60, [] {});
+    eng.queue(0).scheduleAt(100, [&] {
+        link.send(mem::IoLink::Dir::Outbound, 128,
+                  [&] { done = eng.queue(1).now(); });
+    });
+    eng.run(1);
+    EXPECT_EQ(done, 142u);      // 100 + 32 serialize + 10 crossing
+    EXPECT_EQ(eng.messagesDelivered(), 1u);
+    EXPECT_EQ(eng.queue(0).eventsProcessed(), 1u);
+    EXPECT_EQ(eng.queue(1).eventsProcessed(), 2u);
+    EXPECT_EQ(link.bytesSent(mem::IoLink::Dir::Outbound), 128u);
 }
 
 /* ------------------------------------------------------------------ */
@@ -461,8 +496,24 @@ TEST(PageAllocator, SingleBankInterleaveFallsBackToBank0)
 
 TEST(MemorySystem, BadBankIndexIsFatal)
 {
-    sim::EventQueue eq;
+    sim::PartitionedEngine eng(1, 0);
     mem::MemorySystemParams p;
-    mem::MemorySystem ms("m", eq, p);
+    mem::MemorySystem ms("m", eng, p);
     EXPECT_THROW(ms.bank(2), sim::FatalError);
+}
+
+TEST(MemorySystem, BanksRunOnTheirChipsPartitions)
+{
+    // One chip: the far bank has no chip and runs on partition 0.
+    sim::PartitionedEngine one(1, 0);
+    mem::MemorySystem blade("m", one, mem::MemorySystemParams{});
+    EXPECT_EQ(&blade.bank(0).eventQueue(), &one.queue(0));
+    EXPECT_EQ(&blade.bank(1).eventQueue(), &one.queue(0));
+
+    mem::MemorySystemParams p;
+    p.numChips = 2;
+    sim::PartitionedEngine two(2, 10);
+    mem::MemorySystem ms("m", two, p);
+    EXPECT_EQ(&ms.bank(0).eventQueue(), &two.queue(0));
+    EXPECT_EQ(&ms.bank(1).eventQueue(), &two.queue(1));
 }

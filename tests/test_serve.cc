@@ -551,6 +551,16 @@ TEST(Serve, RejectsBadRequests)
                    "{\"experiment\":\"serve_test_exp\","
                    "\"args\":[\"--runs\",\"4294967296\"]}").status,
               400);
+    // A NaN clock once held the only runner with a run that never
+    // ended; a negative latency once panicked mid-run.
+    EXPECT_EQ(post(fx.port(), "/run",
+                   "{\"experiment\":\"serve_test_exp\","
+                   "\"args\":[\"--cpu-ghz\",\"nan\"]}").status,
+              400);
+    EXPECT_EQ(post(fx.port(), "/run",
+                   "{\"experiment\":\"serve_test_exp\","
+                   "\"args\":[\"--ioif-latency\",\"-40\"]}").status,
+              400);
     auto raw = httpRoundTrip(fx.port(), "garbage\r\n\r\n");
     EXPECT_EQ(raw.status, 400);
 }

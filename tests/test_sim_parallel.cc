@@ -34,6 +34,68 @@ TEST(PartitionedEngine, LocalEventsRunWithoutCrossings)
     EXPECT_EQ(eng.lastDispatchTick(), 20u);
 }
 
+namespace
+{
+
+/**
+ * A fixed event script on @p q: six events over three ticks, two per
+ * tick, each scheduling one more for its own tick and one past the
+ * queue's bucket window.  Every event appends its id to @p order.
+ */
+void
+scriptEvents(sim::EventQueue &q, std::vector<int> &order)
+{
+    for (int i = 0; i < 6; ++i) {
+        q.scheduleAt(static_cast<Tick>(i % 3) * 7, [&q, &order, i] {
+            order.push_back(i);
+            q.schedule(0, [&order, i] { order.push_back(100 + i); });
+            q.schedule(sim::EventQueue::window() + 5 - i,
+                       [&order, i] { order.push_back(200 + i); });
+        });
+    }
+}
+
+} // namespace
+
+TEST(PartitionedEngine, OnePartitionRunsLikeABareQueue)
+{
+    sim::EventQueue bare;
+    std::vector<int> expected;
+    scriptEvents(bare, expected);
+    const std::uint64_t events = bare.run();
+    ASSERT_EQ(events, 18u);
+
+    // One partition never posts, so it needs no lookahead; two do.
+    EXPECT_THROW(sim::PartitionedEngine(2, 0), sim::FatalError);
+    sim::PartitionedEngine eng(1, 0);
+    std::vector<int> order;
+    scriptEvents(eng.queue(0), order);
+    EXPECT_EQ(eng.run(4), events);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(eng.windows(), 0u);
+    EXPECT_EQ(eng.messagesDelivered(), 0u);
+    EXPECT_EQ(eng.lastDispatchTick(), eng.queue(0).now());
+    EXPECT_EQ(eng.lastDispatchTick(), bare.now());
+}
+
+TEST(PartitionedEngine, SendIsAnEventWithinAPartitionAndAPostAcross)
+{
+    sim::PartitionedEngine eng(2, kLook);
+    Tick local = maxTick, remote = maxTick;
+    eng.queue(1).schedule(10, [&] {
+        eng.send(1, 1, 15, [&] { local = eng.queue(1).now(); });
+        // On partition 1's queue at once, not parked as a message.
+        EXPECT_EQ(eng.queue(1).pending(), 1u);
+    });
+    eng.queue(0).schedule(20, [&] {
+        eng.send(0, 1, 20 + kLook, [&] { remote = eng.queue(1).now(); });
+    });
+    eng.run(1);
+    EXPECT_EQ(local, 15u);
+    EXPECT_EQ(remote, 20u + kLook);
+    EXPECT_EQ(eng.messagesDelivered(), 1u);
+}
+
 TEST(PartitionedEngine, PostDeliversAtTheRequestedTick)
 {
     sim::PartitionedEngine eng(2, kLook);
@@ -378,6 +440,16 @@ TEST(PartitionedEngineDeathTest, PostBelowTheLookaheadPanics)
         eng.post(0, 1, eng.queue(0).now() + kLook - 1, [] {});
     });
     EXPECT_DEATH(eng.run(1), "lookahead");
+}
+
+TEST(PartitionedEngineDeathTest, PostWithinAPartitionPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim::PartitionedEngine eng(2, kLook);
+    eng.queue(1).schedule(0, [&] {
+        eng.post(1, 1, kLook, [] {});
+    });
+    EXPECT_DEATH(eng.run(1), "use send");
 }
 
 TEST(PartitionedEngineDeathTest, PostToUnknownPartitionPanics)
