@@ -21,6 +21,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(8);
     b.header("Ablation C", "couples & cycle under placement policies");
 
     const cell::AffinityPolicy policies[] = {

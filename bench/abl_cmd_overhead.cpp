@@ -21,6 +21,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(2);
     b.header("Ablation B", "SPE pair DMA-elem vs issue overhead");
 
     const auto elems = core::elemSweepSizes();

@@ -20,6 +20,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(2);
     b.header("Ablation D", "SPE pair, 4 KiB DMA-elem, queue depth x "
                            "sync policy");
 

@@ -18,6 +18,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(8);
     b.header("Ablation A", "8-SPE cycle vs number of EIB data rings");
 
     const unsigned ringCounts[] = {2, 4, 8};

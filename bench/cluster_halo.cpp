@@ -48,8 +48,8 @@ run(core::ExperimentContext &b)
         std::uint32_t bytes;
     };
     const unsigned chipCounts[] = {1, 2, 4, 8};
-    const cell::TaskPlacement policies[] = {
-        cell::TaskPlacement::Locality, cell::TaskPlacement::RoundRobin};
+    const core::HaloPlacement policies[] = {
+        core::HaloPlacement::Locality, core::HaloPlacement::RoundRobin};
     const HaloPoint halos[] = {{"4KiB", 4 * util::KiB},
                                {"32KiB", 32 * util::KiB}};
 
@@ -67,7 +67,6 @@ run(core::ExperimentContext &b)
                 p.cfg.numChips = chips;
                 p.cfg.numSpes = 8 * chips;
                 p.cfg.affinity = cell::AffinityPolicy::Linear;
-                p.cfg.placement = policy;
                 p.hc.haloBytes = hp.bytes;
                 p.hc.bytesPerSpe = b.bytesPerSpe;
                 p.hc.placement = policy;
@@ -130,7 +129,7 @@ run(core::ExperimentContext &b)
         }
         const Point &p = points[pi];
         table.addRow({std::to_string(p.cfg.numChips),
-                      toString(p.cfg.placement), p.label,
+                      core::toString(p.hc.placement), p.label,
                       stats::Table::num(d.mean()),
                       stats::Table::num(dHalo.mean()),
                       stats::Table::num(linkMax)});

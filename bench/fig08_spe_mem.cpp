@@ -22,12 +22,12 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    const auto spe_counts = b.speCounts({1, 2, 4, 8});
     b.header("Figure 8", "SPE to main memory, DMA-elem, 1-8 SPEs");
 
     const auto elems = core::elemSweepSizes();
     const core::DmaOp ops[] = {core::DmaOp::Get, core::DmaOp::Put,
                                core::DmaOp::Copy};
-    const unsigned spe_counts[] = {1, 2, 4, 8};
 
     std::vector<std::string> xlabels;
     for (auto e : elems)

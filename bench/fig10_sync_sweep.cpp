@@ -21,6 +21,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(2);
     b.header("Figure 10", "SPE pair, sync after every k DMA requests");
 
     const auto elems = core::elemSweepSizes();

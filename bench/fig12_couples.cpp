@@ -20,8 +20,10 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    const auto counts = b.speCounts({2, 4, 8});
     b.header("Figure 12", "couples of SPEs (active + passive pairs)");
-    return bench::runSpeSpeSweep(b, "Fig 12", core::SpeSpeMode::Couples);
+    return bench::runSpeSpeSweep(b, "Fig 12", core::SpeSpeMode::Couples,
+                                 counts);
 }
 
 } // namespace

@@ -20,8 +20,10 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    const auto counts = b.speCounts({2, 4, 8});
     b.header("Figure 15", "cycle of SPEs (all active)");
-    return bench::runSpeSpeSweep(b, "Fig 15", core::SpeSpeMode::Cycle);
+    return bench::runSpeSpeSweep(b, "Fig 15", core::SpeSpeMode::Cycle,
+                                 counts);
 }
 
 } // namespace

@@ -19,6 +19,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(8);
     b.header("Figure 16", "8-SPE cycle, min/max/median/mean across "
                           "placements");
     return bench::runSpeSpeDistribution(b, "Fig 16",

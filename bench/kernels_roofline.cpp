@@ -23,6 +23,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    const auto speCounts = b.speCounts({1, 4, 8});
     b.header("Future work", "STREAM kernels, dot, matvec, matmul on "
                             "1-8 SPEs");
 
@@ -40,9 +41,10 @@ run(core::ExperimentContext &b)
         {core::KernelKind::MatMul, 256},
     };
 
-    const unsigned speCounts[] = {1, 4, 8};
     const core::Precision precisions[] = {core::Precision::Single,
                                           core::Precision::Double};
+    // The precision table runs on 4 SPEs.
+    const bool precisionTable = b.cfg.numSpes >= 4;
     const core::KernelKind streaming[] = {core::KernelKind::Triad,
                                           core::KernelKind::Dot};
 
@@ -65,7 +67,8 @@ run(core::ExperimentContext &b)
             spec.n = 1 << 19;
             spec.spes = 4;
             spec.precision = prec;
-            specs.push_back(spec);
+            if (precisionTable)
+                specs.push_back(spec);
         }
     }
     struct Slot
@@ -107,23 +110,26 @@ run(core::ExperimentContext &b)
     // Single vs double precision on the streaming kernels: the
     // paper's DP discussion (one 2-way DP FMA every 7 cycles) plus
     // twice the bytes per element.
-    stats::Table table({"kernel", "precision", "GB/s", "GFLOPS", "ok"});
-    for (auto prec : precisions) {
-        for (auto kind : streaming) {
-            const auto &r = slot->r;
-            table.addRow({core::toString(kind),
-                          prec == core::Precision::Double ? "double"
-                                                          : "single",
-                          stats::Table::num(r.gbps),
-                          stats::Table::num(r.gflops),
-                          r.verified ? "yes" : "NO"});
-            ++slot;
+    if (precisionTable) {
+        stats::Table table({"kernel", "precision", "GB/s", "GFLOPS",
+                            "ok"});
+        for (auto prec : precisions) {
+            for (auto kind : streaming) {
+                const auto &r = slot->r;
+                table.addRow({core::toString(kind),
+                              prec == core::Precision::Double ? "double"
+                                                              : "single",
+                              stats::Table::num(r.gbps),
+                              stats::Table::num(r.gflops),
+                              r.verified ? "yes" : "NO"});
+                ++slot;
+            }
         }
+        b.printf("-- precision (4 SPEs): same GB/s, half the "
+                 "GFLOPS in DP -- Dongarra's single-precision "
+                 "argument --\n");
+        b.emit(table);
     }
-    b.printf("-- precision (4 SPEs): same GB/s, half the "
-             "GFLOPS in DP -- Dongarra's single-precision "
-             "argument --\n");
-    b.emit(table);
 
     b.printf("low-intensity kernels pin the memory roof; the blocked "
              "matmul escapes it and approaches the compute roof.\n");

@@ -58,6 +58,7 @@ pingpong(const cell::CellConfig &cfg, std::uint32_t bytes,
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(2);
     b.header("MPI extension", "ping-pong over eager/rendezvous "
                               "protocols");
 

@@ -23,6 +23,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(4);
     b.header("Rand. B", "random gather, element-wise GET vs DMA-list, "
                         "4 SPEs");
 

@@ -28,6 +28,7 @@ struct TablePoint
 int
 run(core::ExperimentContext &b)
 {
+    b.requireSpes(8);
     b.header("Rand. A", "GUPS random updates, 8 SPEs, 8-128 B granules");
 
     const TablePoint tables[] = {{"1MiB", util::MiB}, {"8MiB", 8 * util::MiB}};

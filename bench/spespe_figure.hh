@@ -53,13 +53,13 @@ runSpeSpeBatch(core::ExperimentContext &b, core::SpeSpeMode mode,
     return core::runBatch(points, b.par);
 }
 
-/** Figures 12 / 15: mean bandwidth sweep for 2/4/8 SPEs, elem & list. */
+/** Figures 12 / 15: mean bandwidth sweep for @p counts SPEs (2/4/8 as
+ *  far as --spes allows), elem & list. */
 inline int
 runSpeSpeSweep(core::ExperimentContext &b, const char *figure,
-               core::SpeSpeMode mode)
+               core::SpeSpeMode mode, const std::vector<unsigned> &counts)
 {
     const auto elems = core::elemSweepSizes();
-    const std::vector<unsigned> counts = {2, 4, 8};
 
     std::vector<std::string> xlabels;
     for (auto e : elems)
@@ -91,10 +91,12 @@ runSpeSpeSweep(core::ExperimentContext &b, const char *figure,
         b.print(chart.render());
         b.printf("\n");
     }
-    b.printf("reference peaks: 2 SPEs %.1f, 4 SPEs %.1f, 8 SPEs %.1f "
-             "GB/s\n",
-             peakFor(b, mode, 2), peakFor(b, mode, 4),
-             peakFor(b, mode, 8));
+    std::string peaks;
+    for (unsigned n : counts) {
+        peaks += util::format("%s%u SPEs %.1f", peaks.empty() ? "" : ", ",
+                              n, peakFor(b, mode, n));
+    }
+    b.printf("reference peaks: %s GB/s\n", peaks.c_str());
     return b.finish();
 }
 

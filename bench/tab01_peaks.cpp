@@ -21,6 +21,7 @@ run(core::ExperimentContext &b)
     // One batch over every path: (label, peak, point).  The
     // placement-free PPE and SPU<->LS paths run once, unrecorded in
     // the metrics; the SPE paths sweep placements like the figures.
+    // A path that needs more SPEs than --spes is left out.
     struct Path
     {
         const char *label;
@@ -30,7 +31,10 @@ run(core::ExperimentContext &b)
     std::vector<core::BatchPoint> points;
     const core::RepeatSpec once{1, b.repeat.seed};
     auto add = [&](const char *label, double peak,
-                   const core::RepeatSpec &spec, core::ExperimentBody body) {
+                   const core::RepeatSpec &spec, core::ExperimentBody body,
+                   unsigned spes = 1) {
+        if (spes > b.cfg.numSpes)
+            return;
         paths.push_back({label, peak});
         points.push_back({b.cfg, spec, std::move(body)});
     };
@@ -61,19 +65,22 @@ run(core::ExperimentContext &b)
     four.numSpes = 4;
     add("4 SPEs GET <- memory (MIC+IOIF)", b.cfg.rampPeakGBps() + 7.0,
         b.repeat,
-        [four](cell::CellSystem &s) { return core::runSpeMem(s, four); });
+        [four](cell::CellSystem &s) { return core::runSpeMem(s, four); },
+        four.numSpes);
     // SPE pair GET+PUT, then the 8-SPE cycle.
     core::SpeSpeConfig pair;
     pair.numSpes = 2;
     pair.elemBytes = 4096;
     pair.bytesPerStream = b.bytesPerSpe;
     add("SPE pair GET+PUT (4KiB)", b.cfg.pairPeakGBps(), b.repeat,
-        [pair](cell::CellSystem &s) { return core::runSpeSpe(s, pair); });
+        [pair](cell::CellSystem &s) { return core::runSpeSpe(s, pair); },
+        pair.numSpes);
     core::SpeSpeConfig cycle = pair;
     cycle.mode = core::SpeSpeMode::Cycle;
     cycle.numSpes = 8;
     add("8-SPE cycle GET+PUT (4KiB)", 8 * b.cfg.rampPeakGBps(), b.repeat,
-        [cycle](cell::CellSystem &s) { return core::runSpeSpe(s, cycle); });
+        [cycle](cell::CellSystem &s) { return core::runSpeSpe(s, cycle); },
+        cycle.numSpes);
 
     const auto dists = core::runBatch(points, b.par);
     stats::Table table({"path", "peak GB/s", "sustained GB/s",

@@ -197,7 +197,6 @@ CellSystem::enableTracing()
 {
     if (!recorder_) {
         recorder_ = std::make_unique<trace::Recorder>();
-        recorder_->setCapacity(cfg_.traceCapacity);
         for (auto &s : spes_)
             s->mfc().setRecorder(recorder_.get());
         for (unsigned c = 0; c < eibs_.size(); ++c)
@@ -572,6 +571,14 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
     for (unsigned s = 0; s < spes_.size(); ++s) {
         spes_[s]->mfc().registerMetrics(
             reg, util::format("spe%u.mfc", s));
+    }
+    if (cfg_.verify) {
+        reg.counter("verify.transfers_checked")
+            .add(verifyStats_.transfersChecked);
+        reg.counter("verify.bytes_checked").add(verifyStats_.bytesChecked);
+        reg.counter("verify.divergences").add(verifyStats_.divergences);
+        reg.counter("verify.faulted_skipped")
+            .add(verifyStats_.faultedSkipped);
     }
     if (recorder_) {
         reg.counter("trace.dma_dropped").add(recorder_->dmaDropped());

@@ -132,7 +132,8 @@ class CellSystem
 
     /**
      * Turn on event tracing: every MFC command and EIB packet from now
-     * on is recorded.  @return the recorder for timelines and traces.
+     * on is recorded.  @return the recorder for timelines and traces;
+     * Recorder::setCapacity() bounds what it keeps.
      */
     trace::Recorder &enableTracing();
 
@@ -142,7 +143,8 @@ class CellSystem
     /**
      * Accumulate every component's utilization counters into @p reg
      * (EIB rings, DRAM banks, MFC queues, PPE caches, plus `sim.runs`
-     * and `sim.ticks`).  Counters *add* into @p reg, so snapshotting
+     * and `sim.ticks`, and the checked-mode verdict as `verify.*` when
+     * verifying).  Counters *add* into @p reg, so snapshotting
      * several runs into one registry yields across-run totals; all
      * accumulation is commutative, keeping parallel seed sweeps
      * deterministic.  Call after run().

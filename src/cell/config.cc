@@ -90,30 +90,6 @@ toString(AffinityPolicy a)
     return "?";
 }
 
-TaskPlacement
-placementFromString(const std::string &s)
-{
-    std::string v = util::toLower(s);
-    if (v == "round-robin" || v == "rr")
-        return TaskPlacement::RoundRobin;
-    if (v == "locality" || v == "local")
-        return TaskPlacement::Locality;
-    sim::fatal("unknown placement policy '%s' "
-               "(expected round-robin|locality)", s.c_str());
-}
-
-const char *
-toString(TaskPlacement p)
-{
-    switch (p) {
-      case TaskPlacement::RoundRobin:
-        return "round-robin";
-      case TaskPlacement::Locality:
-        return "locality";
-    }
-    return "?";
-}
-
 void
 CellConfig::registerOptions(util::Options &opts)
 {
@@ -165,8 +141,6 @@ CellConfig::registerOptions(util::Options &opts)
                  "pin each flow to one EIB ring (vs per-packet choice)");
     opts.addString("affinity", "random",
                    "SPE placement policy: random|linear|paired");
-    opts.addString("placement", "round-robin",
-                   "cluster work placement: round-robin|locality");
     opts.addDouble("fault-drop-rate", 0.0,
                    "P(a DMA command is silently dropped)");
     opts.addDouble("fault-corrupt-rate", 0.0,
@@ -179,8 +153,6 @@ CellConfig::registerOptions(util::Options &opts)
                  "base seed of the fault-injection generators");
     opts.addBool("verify", false,
                  "cross-check every DMA against the backing store");
-    opts.addUint("trace-capacity", 0,
-                 "max retained trace records per kind (0 = unbounded)");
     opts.addUint("sim-jobs", 1,
                  "worker threads for per-chip parallel simulation "
                  "(result-neutral; 0 = one per chip)",
@@ -292,7 +264,6 @@ CellConfig::fromOptions(const util::Options &opts)
 
     cfg.eib.flowPinning = opts.getBool("flow-pinning");
     cfg.affinity = affinityFromString(opts.getString("affinity"));
-    cfg.placement = placementFromString(opts.getString("placement"));
 
     auto &faults = cfg.spe.mfc.faults;
     faults.dropRate = opts.getDouble("fault-drop-rate");
@@ -306,7 +277,6 @@ CellConfig::fromOptions(const util::Options &opts)
         sim::fatal("--fault-*-rate values must be >= 0 and sum to <= 1");
     }
     cfg.verify = opts.getBool("verify");
-    cfg.traceCapacity = opts.getUint("trace-capacity");
     cfg.simJobs = static_cast<unsigned>(opts.getUint("sim-jobs"));
     cfg.simProfile = opts.getBool("sim-profile");
     return cfg;

@@ -30,16 +30,6 @@ enum class AffinityPolicy
     Paired,     ///< logical 2k/2k+1 physically adjacent (paper's wish)
 };
 
-/**
- * Cluster-level work placement policy: which chip's SPEs a task (or a
- * stencil rank) should run on relative to the memory it touches.
- */
-enum class TaskPlacement
-{
-    RoundRobin,  ///< spread tasks over the chips in dispatch order
-    Locality,    ///< run each task on the chip that owns its pages
-};
-
 /** The validated range of numChips (--chips): 1 to 16 chips. */
 constexpr unsigned kMaxChips = 16;
 
@@ -77,22 +67,12 @@ struct CellConfig
 
     AffinityPolicy affinity = AffinityPolicy::Random;
 
-    /** Cluster work placement for the offload runtime / stencils. */
-    TaskPlacement placement = TaskPlacement::RoundRobin;
-
     /**
      * Checked mode: cross-check every completed DMA command against the
      * backing store and count divergences (--verify).  Fault-injection
      * knobs live in spe.mfc.faults (--fault-* flags).
      */
     bool verify = false;
-
-    /**
-     * Bound on the trace recorder's retained records per record kind
-     * (--trace-capacity); oldest records are evicted beyond it.
-     * 0 keeps everything.
-     */
-    std::uint64_t traceCapacity = 0;
 
     /**
      * Worker threads for the conservative parallel engine
@@ -131,10 +111,6 @@ struct CellConfig
 /** Parse an affinity policy name ("random", "linear", "paired"). */
 AffinityPolicy affinityFromString(const std::string &s);
 const char *toString(AffinityPolicy a);
-
-/** Parse a task placement name ("round-robin", "locality"). */
-TaskPlacement placementFromString(const std::string &s);
-const char *toString(TaskPlacement p);
 
 } // namespace cellbw::cell
 

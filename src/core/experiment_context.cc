@@ -115,6 +115,26 @@ ExperimentContext::parse(int argc, const char *const *argv)
 }
 
 void
+ExperimentContext::requireSpes(unsigned n) const
+{
+    if (cfg.numSpes < n)
+        sim::fatal("needs at least %u SPEs; --spes is %u", n, cfg.numSpes);
+}
+
+std::vector<unsigned>
+ExperimentContext::speCounts(std::initializer_list<unsigned> counts) const
+{
+    std::vector<unsigned> kept;
+    for (unsigned n : counts) {
+        if (n <= cfg.numSpes)
+            kept.push_back(n);
+    }
+    if (kept.empty())
+        requireSpes(std::min(counts));
+    return kept;
+}
+
+void
 ExperimentContext::header(const char *figure, const char *what)
 {
     json.setBench(opts.prog(), figure, what);

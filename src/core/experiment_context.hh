@@ -24,7 +24,9 @@
 #define CELLBW_CORE_EXPERIMENT_CONTEXT_HH
 
 #include <cstdarg>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "cell/config.hh"
 #include "core/backend.hh"
@@ -70,6 +72,19 @@ class ExperimentContext
      * @return false when the program should exit (help/error).
      */
     bool parse(int argc, const char *const *argv);
+
+    /**
+     * Fail unless --spes allows @p n SPEs.  A body calls this before
+     * its header with the fewest SPEs any of its points needs, so an
+     * experiment with no point left prints nothing.
+     * @throws sim::FatalError naming @p n.
+     */
+    void requireSpes(unsigned n) const;
+
+    /** The SPE counts of @p counts that --spes allows, in order;
+     *  requireSpes() of the smallest when none is left. */
+    std::vector<unsigned>
+    speCounts(std::initializer_list<unsigned> counts) const;
 
     /** Print the figure banner and stamp the report header. */
     void header(const char *figure, const char *what);

@@ -101,6 +101,12 @@ haloRank(cell::CellSystem &sys, unsigned spe, unsigned rank,
 
 } // namespace
 
+const char *
+toString(HaloPlacement p)
+{
+    return p == HaloPlacement::Locality ? "locality" : "round-robin";
+}
+
 HaloResult
 runClusterHalo(cell::CellSystem &sys, const HaloConfig &cfg)
 {
@@ -140,7 +146,7 @@ runClusterHalo(cell::CellSystem &sys, const HaloConfig &cfg)
     const Tick t0 = sys.now();
     for (unsigned r = 0; r < ranks; ++r) {
         unsigned spe;
-        if (cfg.placement == cell::TaskPlacement::Locality) {
+        if (cfg.placement == HaloPlacement::Locality) {
             spe = (r / cfg.ranksPerChip) * 8 + r % cfg.ranksPerChip;
         } else {
             // Scatter ranks over the chips in rank order, the way a

@@ -10,7 +10,7 @@
  * — and overlaps that exchange with a double-buffered interior update
  * sweep (GET chunk, compute, PUT chunk), finishing with the boundary
  * compute + PUT once the halos land.  Work placement follows
- * cell::TaskPlacement: Locality pins each rank to an SPE of its home
+ * HaloPlacement: Locality pins each rank to an SPE of its home
  * chip so only the halos cross links; RoundRobin scatters ranks over
  * the chips so the whole interior stream rides the 7 GB/s links — the
  * paper conclusion's cross-chip warning, measured at cluster scale.
@@ -29,6 +29,17 @@
 
 namespace cellbw::core
 {
+
+/** Rank-to-chip placement: which chip's SPEs a rank runs on relative
+ *  to the slab it owns. */
+enum class HaloPlacement
+{
+    RoundRobin,  ///< scatter ranks over the chips in rank order
+    Locality,    ///< run each rank on the chip that owns its slab
+};
+
+/** "round-robin" or "locality". */
+const char *toString(HaloPlacement p);
 
 struct HaloConfig
 {
@@ -54,7 +65,7 @@ struct HaloConfig
     Tick computeCyclesPerKiB = 64;
 
     /** Rank-to-chip placement policy. */
-    cell::TaskPlacement placement = cell::TaskPlacement::RoundRobin;
+    HaloPlacement placement = HaloPlacement::RoundRobin;
 };
 
 struct HaloResult

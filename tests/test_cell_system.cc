@@ -200,6 +200,56 @@ TEST(CellSystem, ProfiledSingleChipHasNoWindowRows)
     EXPECT_EQ(reg.findCounter("profile.crossings.delivered"), nullptr);
 }
 
+TEST(CellSystem, CheckedModeBooksItsVerdict)
+{
+    // A GET and a PUT of 32 KiB each, two 16 KiB commands apiece: the
+    // checked-mode verdict reaches the metrics as verify.* counters.
+    const std::uint32_t bytes = 32 * 1024;
+    auto run = [&](const cell::CellConfig &cfg,
+                   stats::MetricsRegistry &reg) {
+        cell::CellSystem sys(cfg, 1);
+        EffAddr src = sys.malloc(bytes);
+        EffAddr dst = sys.malloc(bytes);
+        sys.memory().store().fill(src, 0x5A, bytes);
+        sys.spe(1).ls().fill(0, 0xA5, bytes);
+        sys.launch(getProgram(sys, 0, 0, src, bytes));
+        sys.launch(putProgram(sys, 1, 0, dst, bytes));
+        sys.run();
+        sys.snapshotMetrics(reg);
+        return sys.verifyStats();
+    };
+    auto counter = [](const stats::MetricsRegistry &reg, const char *name) {
+        const auto *c = reg.findCounter(name);
+        EXPECT_NE(c, nullptr) << name;
+        return c ? c->value() : ~0ull;
+    };
+
+    cell::CellConfig cfg;
+    cfg.verify = true;
+    stats::MetricsRegistry reg;
+    const auto v = run(cfg, reg);
+    EXPECT_EQ(v.transfersChecked, 4u);
+    EXPECT_EQ(counter(reg, "verify.transfers_checked"), v.transfersChecked);
+    EXPECT_EQ(counter(reg, "verify.bytes_checked"), 2u * bytes);
+    EXPECT_EQ(counter(reg, "verify.divergences"), 0u);
+    EXPECT_EQ(counter(reg, "verify.faulted_skipped"), 0u);
+
+    // Corrupted commands are expected to diverge: skipped, not counted.
+    cfg.spe.mfc.faults.corruptRate = 0.5;
+    stats::MetricsRegistry faulted;
+    run(cfg, faulted);
+    EXPECT_GT(counter(faulted, "verify.faulted_skipped"), 0u);
+    EXPECT_EQ(counter(faulted, "verify.divergences"), 0u);
+
+    // Without --verify the report carries no verdict.
+    cfg = cell::CellConfig{};
+    stats::MetricsRegistry unchecked;
+    run(cfg, unchecked);
+    for (const auto &name : unchecked.names())
+        EXPECT_NE(name.rfind("verify.", 0), 0u) << name;
+    EXPECT_GT(unchecked.size(), 0u);
+}
+
 TEST(CellSystem, SpeToSpeGetAndPut)
 {
     cell::CellConfig cfg;

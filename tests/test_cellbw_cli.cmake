@@ -182,4 +182,25 @@ if(NOT norings_err MATCHES
     message(FATAL_ERROR "run --rings 0 message:\n${norings_err}")
 endif()
 
+# --spes bounds an SPE-count sweep: fig12 keeps its 2- and 4-SPE points
+# (it once exited 1 on the 8-SPE point it could not build).
+run_cellbw(spes4 0 run fig12_couples --quick --runs 1 --spes 4
+           --json spes4.json)
+file(READ "${WORKDIR}/spes4.json" spes4_json)
+if(NOT spes4_json MATCHES "\"spes\":2,\"elem\"" OR
+   NOT spes4_json MATCHES "\"spes\":4,\"elem\"" OR
+   spes4_json MATCHES "\"spes\":8,\"elem\"")
+    message(FATAL_ERROR "fig12 --spes 4 points:\n${spes4_json}")
+endif()
+
+# An experiment with no point left says what it needs before its
+# header: nothing on stdout.
+run_cellbw(spes4_none 1 run abl_rings --quick --spes 4)
+if(NOT spes4_none_err MATCHES
+       "cellbw run: abl_rings: needs at least 8 SPEs; --spes is 4" OR
+   NOT spes4_none_out STREQUAL "")
+    message(FATAL_ERROR "abl_rings --spes 4: stdout:\n${spes4_none_out}\n"
+                        "stderr:\n${spes4_none_err}")
+endif()
+
 message(STATUS "cellbw CLI error paths behave")

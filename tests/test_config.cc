@@ -83,7 +83,6 @@ TEST(CellConfig, BadValuesAreFatal)
     EXPECT_THROW(parse({"--chips=5", "--blades=2"}), sim::FatalError);
     EXPECT_THROW(parse({"--numa=bogus"}), sim::FatalError);
     EXPECT_THROW(parse({"--affinity=bogus"}), sim::FatalError);
-    EXPECT_THROW(parse({"--placement=bogus"}), sim::FatalError);
     // Values that would poison the clock: NaN and infinities, a
     // non-positive clock or rate, a negative latency, a duration or a
     // line's service past 2^32 - 1 ticks, a cycle count past 2^32 - 1
@@ -113,12 +112,10 @@ TEST(CellConfig, BadValuesAreFatal)
 TEST(CellConfig, ClusterFlagsReachTheRightFields)
 {
     auto cfg = parse({"--chips=4", "--blades=2", "--spes=32",
-                      "--affinity=linear", "--placement=locality",
-                      "--blade-link-gbps=4", "--blade-latency=200",
-                      "--ioif-latency=50"});
+                      "--affinity=linear", "--blade-link-gbps=4",
+                      "--blade-latency=200", "--ioif-latency=50"});
     EXPECT_EQ(cfg.numChips, 4u);
     EXPECT_EQ(cfg.numBlades, 2u);
-    EXPECT_EQ(cfg.placement, cell::TaskPlacement::Locality);
     EXPECT_NEAR(cfg.memory.bladeLink.bytesPerTick * cfg.clock.cpuHz / 1e9,
                 4.0, 1e-6);
     EXPECT_EQ(cfg.memory.bladeLink.crossingLatency,
@@ -127,22 +124,9 @@ TEST(CellConfig, ClusterFlagsReachTheRightFields)
     EXPECT_EQ(cfg.memory.numChips, 4u);
     EXPECT_EQ(cfg.memory.numBlades, 2u);
 
-    // Defaults: blades auto-derive, round-robin placement.
+    // Defaults: blades auto-derive.
     auto def = parse({"--chips=8", "--spes=64"});
     EXPECT_EQ(def.numBlades, 0u);
-    EXPECT_EQ(def.placement, cell::TaskPlacement::RoundRobin);
-}
-
-TEST(CellConfig, PlacementNamesRoundTrip)
-{
-    EXPECT_EQ(cell::placementFromString("round-robin"),
-              cell::TaskPlacement::RoundRobin);
-    EXPECT_EQ(cell::placementFromString("locality"),
-              cell::TaskPlacement::Locality);
-    EXPECT_STREQ(cell::toString(cell::TaskPlacement::Locality),
-                 "locality");
-    EXPECT_STREQ(cell::toString(cell::TaskPlacement::RoundRobin),
-                 "round-robin");
 }
 
 TEST(CellConfig, AffinityNamesRoundTrip)

@@ -1,9 +1,9 @@
 /**
  * @file
  * End-to-end tests of the recoverable MFC fault model: injected
- * drops/corruptions are repaired by the offload runtime's and the
- * communicator's retry paths, --verify cross-checks every transfer
- * against the backing store, and the fault sequence is seed-stable.
+ * drops/corruptions are repaired by the communicator's retry path,
+ * --verify cross-checks every transfer against the backing store, and
+ * the fault sequence is seed-stable.
  */
 
 #include <gtest/gtest.h>
@@ -11,22 +11,12 @@
 #include <vector>
 
 #include "msg/communicator.hh"
-#include "runtime/offload.hh"
 #include "test_util.hh"
 
 using namespace cellbw;
 
 namespace
 {
-
-runtime::Kernel
-xorKernel(std::uint8_t key)
-{
-    return [key](std::uint8_t *d, std::uint32_t n) {
-        for (std::uint32_t i = 0; i < n; ++i)
-            d[i] ^= key;
-    };
-}
 
 struct FaultFixture : public ::testing::Test
 {
@@ -40,37 +30,56 @@ struct FaultFixture : public ::testing::Test
         Tick makespan = 0;
     };
 
-    /** Offload a batch of XOR tasks and check every output byte. */
+    /**
+     * Pass @p messages rendezvous messages of @p bytes around a ring of
+     * @p ranks SPEs (each rank sends to its right neighbour and
+     * receives from its left one) and check every message's bytes.
+     */
     BatchResult
-    runBatch(unsigned workers, unsigned tasks, std::uint32_t bytes,
+    runBatch(unsigned ranks, unsigned messages, std::uint32_t bytes,
              std::uint64_t seed = 1)
     {
         cell::CellSystem sys(cfg, seed);
-        runtime::OffloadParams params;
-        params.workers = workers;
-        runtime::OffloadRuntime rt(sys, params);
-
-        std::vector<EffAddr> outs;
-        for (unsigned t = 0; t < tasks; ++t) {
-            EffAddr in = sys.malloc(bytes);
-            EffAddr out = sys.malloc(bytes);
-            sys.memory().store().fill(
-                in, static_cast<std::uint8_t>(t + 1), bytes);
-            outs.push_back(out);
-            rt.submit({in, out, bytes, 64, xorKernel(0x33)});
+        msg::Communicator comm(sys, ranks);
+        std::vector<LsAddr> src(ranks), dst(ranks);
+        for (unsigned r = 0; r < ranks; ++r) {
+            src[r] = sys.spe(r).lsAlloc(bytes);
+            dst[r] = sys.spe(r).lsAlloc(bytes);
         }
-        rt.start();
+        // Message m of rank r carries one byte value throughout.
+        auto pattern = [messages](unsigned r, unsigned m) {
+            return static_cast<std::uint8_t>(r * messages + m + 1);
+        };
+
+        unsigned received = 0;
+        auto sender = [&](unsigned r) -> sim::Task {
+            for (unsigned m = 0; m < messages; ++m) {
+                sys.spe(r).ls().fill(src[r], pattern(r, m), bytes);
+                co_await comm.send(r, (r + 1) % ranks, src[r], bytes);
+            }
+        };
+        auto receiver = [&](unsigned r) -> sim::Task {
+            const unsigned left = (r + ranks - 1) % ranks;
+            for (unsigned m = 0; m < messages; ++m) {
+                std::uint32_t got = 0;
+                co_await comm.recv(r, left, dst[r], bytes, &got);
+                EXPECT_EQ(got, bytes);
+                for (std::uint32_t off : {0u, bytes / 2, bytes - 1}) {
+                    EXPECT_EQ(sys.spe(r).ls().byteAt(dst[r] + off),
+                              pattern(left, m))
+                        << "rank " << r << " message " << m
+                        << " offset " << off;
+                }
+                ++received;
+            }
+        };
+        for (unsigned r = 0; r < ranks; ++r) {
+            sys.launch(sender(r));
+            sys.launch(receiver(r));
+        }
         sys.run();
 
-        EXPECT_EQ(rt.stats().tasksCompleted, tasks);
-        for (unsigned t = 0; t < tasks; ++t) {
-            auto expect = static_cast<std::uint8_t>((t + 1) ^ 0x33);
-            for (std::uint32_t off : {0u, bytes / 2, bytes - 1}) {
-                EXPECT_EQ(sys.memory().store().byteAt(outs[t] + off),
-                          expect)
-                    << "task " << t << " offset " << off;
-            }
-        }
+        EXPECT_EQ(received, ranks * messages);
         if (sys.verifying()) {
             EXPECT_EQ(sys.verifyStats().divergences, 0u)
                 << sys.verifyStats().firstDivergence;
@@ -78,30 +87,28 @@ struct FaultFixture : public ::testing::Test
         }
 
         BatchResult r;
-        for (const auto &w : rt.stats().worker) {
-            r.faults += w.faults;
-            r.retries += w.retries;
-        }
+        r.faults = comm.dmaFaults();
+        r.retries = comm.dmaRetries();
         for (unsigned i = 0; i < sys.numSpes(); ++i) {
             r.injected += sys.spe(i).mfc().dropsInjected() +
                           sys.spe(i).mfc().corruptionsInjected() +
                           sys.spe(i).mfc().delaysInjected();
         }
-        r.makespan = rt.stats().makespan();
+        r.makespan = sys.now();
         return r;
     }
 };
 
 } // namespace
 
-TEST_F(FaultFixture, OffloadSurvivesDropsAndCorruptionsUnderVerify)
+TEST_F(FaultFixture, RingSurvivesDropsAndCorruptionsUnderVerify)
 {
     cfg.spe.mfc.faults.dropRate = 0.03;
     cfg.spe.mfc.faults.corruptRate = 0.03;
     cfg.spe.mfc.faults.seed = 11;
     cfg.verify = true;
     auto r = runBatch(4, 12, 96 * 1024);
-    // With ~400 commands at 6% fault probability, faults certainly
+    // With ~290 payload GETs at 6% fault probability, faults certainly
     // occurred and every one was repaired by a retry.
     EXPECT_GT(r.faults, 0u);
     EXPECT_GE(r.retries, r.faults);

@@ -1,12 +1,11 @@
 /** @file Tests for the cluster halo-exchange stencil: degenerate
  *        single-chip behaviour, checked-mode cross-verification, exact
- *        cross-chip byte accounting, placement policies, --sim-jobs
- *        identity, and the locality-aware offload dispatcher. */
+ *        cross-chip byte accounting, placement policies and --sim-jobs
+ *        identity. */
 
 #include <gtest/gtest.h>
 
 #include "core/halo.hh"
-#include "runtime/offload.hh"
 #include "test_util.hh"
 
 using namespace cellbw;
@@ -25,7 +24,7 @@ clusterConfig(unsigned chips)
 }
 
 core::HaloConfig
-smallHalo(cell::TaskPlacement placement)
+smallHalo(core::HaloPlacement placement)
 {
     core::HaloConfig hc;
     hc.slabBytes = 128 * util::KiB;
@@ -56,8 +55,8 @@ TEST(HaloExchange, SingleChipIsDegenerate)
     // byte ever touches a link.
     double gbps[2];
     int i = 0;
-    for (auto p : {cell::TaskPlacement::Locality,
-                   cell::TaskPlacement::RoundRobin}) {
+    for (auto p : {core::HaloPlacement::Locality,
+                   core::HaloPlacement::RoundRobin}) {
         cell::CellSystem sys(clusterConfig(1), 42);
         EXPECT_EQ(sys.engine().partitions(), 1u);
         auto res = core::runClusterHalo(sys, smallHalo(p));
@@ -73,7 +72,7 @@ TEST(HaloExchange, SingleChipIsDegenerate)
 TEST(HaloExchange, ByteAccountingAddsUp)
 {
     cell::CellSystem sys(clusterConfig(2), 42);
-    auto hc = smallHalo(cell::TaskPlacement::Locality);
+    auto hc = smallHalo(core::HaloPlacement::Locality);
     auto res = core::runClusterHalo(sys, hc);
     // 2 chips x 2 ranks, 2 steps: each rank-step GETs two halos and
     // moves the interior twice (GET + PUT) plus the boundary PUT.
@@ -94,7 +93,7 @@ TEST(HaloExchange, OnlyHalosCrossUnderLocality)
     // 3<->0) each carry one halo GET per side per step — four halo
     // payloads cross the IOIF per step, and nothing else does.
     cell::CellSystem sys(clusterConfig(2), 42);
-    auto hc = smallHalo(cell::TaskPlacement::Locality);
+    auto hc = smallHalo(core::HaloPlacement::Locality);
     core::runClusterHalo(sys, hc);
     const std::uint64_t expected = 4ull * hc.haloBytes * hc.steps;
     EXPECT_EQ(totalLinkBytes(sys), expected);
@@ -108,10 +107,10 @@ TEST(HaloExchange, RoundRobinPushesInteriorAcrossLinks)
 {
     cell::CellSystem loc(clusterConfig(4), 42);
     auto res_loc =
-        core::runClusterHalo(loc, smallHalo(cell::TaskPlacement::Locality));
+        core::runClusterHalo(loc, smallHalo(core::HaloPlacement::Locality));
     cell::CellSystem rr(clusterConfig(4), 42);
     auto res_rr = core::runClusterHalo(
-        rr, smallHalo(cell::TaskPlacement::RoundRobin));
+        rr, smallHalo(core::HaloPlacement::RoundRobin));
 
     // Chip-blind placement drags interior streams over the links and
     // pays for it in bandwidth.
@@ -124,21 +123,21 @@ TEST(HaloExchange, CheckedModeSeesNoDivergence)
     auto cfg = clusterConfig(2);
     cfg.verify = true;
     cell::CellSystem sys(cfg, 42);
-    core::runClusterHalo(sys, smallHalo(cell::TaskPlacement::Locality));
+    core::runClusterHalo(sys, smallHalo(core::HaloPlacement::Locality));
     EXPECT_GT(sys.verifyStats().bytesChecked, 0u);
     EXPECT_EQ(sys.verifyStats().divergences, 0u);
 }
 
 TEST(HaloExchange, SimJobsNeverChangesTheAnswer)
 {
-    auto run = [](unsigned simJobs, cell::TaskPlacement p) {
+    auto run = [](unsigned simJobs, core::HaloPlacement p) {
         auto cfg = clusterConfig(4);
         cfg.simJobs = simJobs;
         cell::CellSystem sys(cfg, 7);
         return core::runClusterHalo(sys, smallHalo(p)).gbps;
     };
-    for (auto p : {cell::TaskPlacement::Locality,
-                   cell::TaskPlacement::RoundRobin}) {
+    for (auto p : {core::HaloPlacement::Locality,
+                   core::HaloPlacement::RoundRobin}) {
         const double serial = run(1, p);
         ASSERT_GT(serial, 0.0);
         EXPECT_EQ(serial, run(2, p));
@@ -151,7 +150,7 @@ TEST(HaloExchange, DeterministicPerSeed)
     auto once = [] {
         cell::CellSystem sys(clusterConfig(2), 11);
         return core::runClusterHalo(
-                   sys, smallHalo(cell::TaskPlacement::RoundRobin))
+                   sys, smallHalo(core::HaloPlacement::RoundRobin))
             .gbps;
     };
     EXPECT_EQ(once(), once());
@@ -163,68 +162,13 @@ TEST(HaloExchange, RequiresLinearAffinityOverAllSlots)
     cfg.affinity = cell::AffinityPolicy::Random;
     cell::CellSystem random(cfg, 1);
     EXPECT_THROW(core::runClusterHalo(
-                     random, smallHalo(cell::TaskPlacement::Locality)),
+                     random, smallHalo(core::HaloPlacement::Locality)),
                  sim::FatalError);
 
     auto few = clusterConfig(2);
     few.numSpes = 8;    // not every slot active
     cell::CellSystem partial(few, 1);
     EXPECT_THROW(core::runClusterHalo(
-                     partial, smallHalo(cell::TaskPlacement::Locality)),
+                     partial, smallHalo(core::HaloPlacement::Locality)),
                  sim::FatalError);
-}
-
-TEST(OffloadPlacement, LocalityRunsTasksOnTheirHomeChip)
-{
-    auto cfg = clusterConfig(2);
-    cfg.placement = cell::TaskPlacement::Locality;
-    cell::CellSystem sys(cfg, 1);
-
-    runtime::OffloadParams params;
-    params.workers = 16;
-    runtime::OffloadRuntime rt(sys, params);
-    // Four tasks per chip, inputs pinned to that chip's bank.
-    for (unsigned chip = 0; chip < 2; ++chip) {
-        for (unsigned t = 0; t < 4; ++t) {
-            EffAddr in = sys.malloc(64 * util::KiB,
-                                    mem::NumaPolicy::onBank(chip));
-            EffAddr out = sys.malloc(64 * util::KiB,
-                                     mem::NumaPolicy::onBank(chip));
-            rt.submit({in, out, 64 * util::KiB, 64,
-                       [](std::uint8_t *, std::uint32_t) {}});
-        }
-    }
-    rt.start();
-    sys.run();
-
-    EXPECT_EQ(rt.stats().tasksCompleted, 8u);
-    // Every task ran on a worker of its input's home chip, so the
-    // links carried no task payload at all.
-    EXPECT_EQ(totalLinkBytes(sys), 0u);
-    for (unsigned w = 0; w < 16; ++w) {
-        // Chip 0 owns tasks 0-3, chip 1 owns tasks 4-7; the per-chip
-        // cursor rotates over that chip's eight workers.
-        unsigned expected = (w % 8) < 4 ? 1u : 0u;
-        EXPECT_EQ(rt.stats().worker[w].tasks, expected) << "worker " << w;
-    }
-}
-
-TEST(OffloadPlacement, RoundRobinKeepsTheClassicDispatch)
-{
-    cell::CellSystem sys(clusterConfig(2), 1);
-    runtime::OffloadParams params;
-    params.workers = 3;
-    params.placement = cell::TaskPlacement::RoundRobin;
-    runtime::OffloadRuntime rt(sys, params);
-    for (unsigned t = 0; t < 7; ++t) {
-        EffAddr in = sys.malloc(16 * util::KiB);
-        EffAddr out = sys.malloc(16 * util::KiB);
-        rt.submit({in, out, 16 * util::KiB, 64,
-                   [](std::uint8_t *, std::uint32_t) {}});
-    }
-    rt.start();
-    sys.run();
-    EXPECT_EQ(rt.stats().worker[0].tasks, 3u);  // tasks 0, 3, 6
-    EXPECT_EQ(rt.stats().worker[1].tasks, 2u);
-    EXPECT_EQ(rt.stats().worker[2].tasks, 2u);
 }
