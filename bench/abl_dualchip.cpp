@@ -22,6 +22,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireDefaultSpes();
     b.header("Ablation E", "couples across one vs two chips");
 
     stats::Table table({"config", "spes", "GB/s(mean)", "GB/s(min)",

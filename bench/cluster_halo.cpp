@@ -21,8 +21,8 @@
  * the run's pool (--jobs): every run of every point is submitted at
  * once and writes its own slot, and the rows are folded afterwards in
  * point and seed order, so the report is byte-identical for any --jobs.
- * A serial-window (--sim-jobs 1) 8-chip system backs its main memory
- * lazily and holds about 3-4 MB of host memory.
+ * An 8-chip system backs its main memory lazily and holds about 3-4 MB
+ * of host memory.
  */
 
 #include <algorithm>
@@ -40,6 +40,7 @@ namespace
 int
 run(core::ExperimentContext &b)
 {
+    b.requireDefaultSpes();
     b.header("Cluster A", "halo-exchange stencil over 1-8 chips");
 
     struct HaloPoint

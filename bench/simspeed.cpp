@@ -122,21 +122,14 @@ BM_SeedSweep(benchmark::State &state)
 BENCHMARK(BM_SeedSweep)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/**
- * A dual-chip run on the partitioned engine.  Arg = --sim-jobs (worker
- * threads over the two chip partitions); /1 vs /2 measures the
- * conservative-parallel scaling.  The schedule — and the bandwidth —
- * is bit-identical for any value.
- */
+/** A dual-chip run: 16 SPEs in couples, some of them across the IOIF. */
 void
-BM_DualChipParallel(benchmark::State &state)
+BM_DualChip(benchmark::State &state)
 {
-    const unsigned simJobs = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         cell::CellConfig cfg;
         cfg.numChips = 2;
         cfg.numSpes = 16;
-        cfg.simJobs = simJobs;
         cell::CellSystem sys(cfg, 1);
         core::SpeSpeConfig sc;
         sc.numSpes = 16;
@@ -146,8 +139,7 @@ BM_DualChipParallel(benchmark::State &state)
         benchmark::DoNotOptimize(bw);
     }
 }
-BENCHMARK(BM_DualChipParallel)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_DualChip)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void
 BM_PpeL1Stream(benchmark::State &state)

@@ -1,7 +1,6 @@
 #include "cell/cell_system.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "sim/logging.hh"
 #include "stats/metrics.hh"
@@ -36,24 +35,14 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
                    cfg_.numChips, cfg_.numBlades);
     }
 
-    // Each chip is a partition, and nothing on one chip can affect
-    // another sooner than one crossing: the lookahead is the IOIF
-    // latency, or the inter-blade one if smaller and the shape has
-    // inter-blade links.  One chip never posts and needs none.
-    Tick lookahead = cfg_.memory.ioLink.crossingLatency;
-    if (shape.blades > 1)
-        lookahead = std::min(lookahead, cfg_.memory.bladeLink.crossingLatency);
-    engine_ =
-        std::make_unique<sim::PartitionedEngine>(cfg_.numChips, lookahead);
-    memory_ = std::make_unique<mem::MemorySystem>("mem", *engine_,
-                                                  cfg_.memory);
+    eq_ = std::make_unique<sim::EventQueue>();
+    memory_ = std::make_unique<mem::MemorySystem>("mem", *eq_, cfg_.memory);
     for (unsigned c = 0; c < cfg_.numChips; ++c) {
         eibs_.push_back(std::make_unique<eib::Eib>(
-            util::format("eib%u", c), queue(c), cfg_.clock, cfg_.eib));
+            util::format("eib%u", c), *eq_, cfg_.clock, cfg_.eib));
     }
-    ppu_ = std::make_unique<ppe::Ppu>("ppe", queue(0), cfg_.clock,
-                                      cfg_.ppu, &memory_->store());
-    arenas_.resize(cfg_.numChips);
+    ppu_ = std::make_unique<ppe::Ppu>("ppe", *eq_, cfg_.clock, cfg_.ppu,
+                                      &memory_->store());
 
     buildPlacement(placementSeed);
     // Each run draws its own fault sequence: the run's placement seed
@@ -62,9 +51,8 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
     spe::SpeParams sp = cfg_.spe;
     sp.mfc.faults.seed ^= placementSeed * 0x9E3779B97F4A7C15ull;
     for (unsigned i = 0; i < cfg_.numSpes; ++i) {
-        unsigned chip = placement_[i] / eib::numPhysicalSpes;
-        auto s = std::make_unique<spe::Spe>(
-            util::format("spe%u", i), queue(chip), cfg_.clock, sp, i);
+        auto s = std::make_unique<spe::Spe>(util::format("spe%u", i), *eq_,
+                                            cfg_.clock, sp, i);
         s->setPhysicalSpe(placement_[i],
                           eib::speRamp(placement_[i] %
                                        eib::numPhysicalSpes));
@@ -80,8 +68,7 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
         spes_.push_back(std::move(s));
     }
 
-    if (cfg_.simProfile)
-        engine_->setProfiling(true);
+    eq_->setProfiling(cfg_.simProfile);
 }
 
 CellSystem::~CellSystem() = default;
@@ -176,11 +163,6 @@ CellSystem::malloc(std::uint64_t bytes, const mem::NumaPolicy &policy)
     EffAddr ea = memory_->alloc(bytes, policy);
     if (ea + bytes >= lsEaBase)
         sim::fatal("main memory exhausted");
-    // Threaded windows touch data pages from several chips' worker
-    // threads; faulting them in at allocation keeps the page map
-    // immutable while they run.  Serial windows back pages lazily.
-    if (runThreads() > 1)
-        memory_->store().touch(ea, bytes);
     return ea;
 }
 
@@ -212,28 +194,10 @@ CellSystem::launch(sim::Task task)
     programs_.back().start();
 }
 
-unsigned
-CellSystem::runThreads() const
-{
-    unsigned t = cfg_.simJobs;
-    if (t == 0)
-        t = std::thread::hardware_concurrency();
-    if (t == 0)
-        t = 1;
-    t = std::min(t, cfg_.numChips);
-    // The verify and trace hooks read state that belongs to the other
-    // chip's partition (LS contents, the shared recorder buffer); run
-    // their windows on one thread.  The schedule — and the report — is
-    // the same either way.
-    if (cfg_.verify || recorder_)
-        t = 1;
-    return t;
-}
-
 void
 CellSystem::run()
 {
-    engine_->run(runThreads());
+    eq_->run();
     for (auto &p : programs_) {
         p.rethrow();
         if (!p.done()) {
@@ -275,16 +239,15 @@ CellSystem::routeMemory(spe::LineRequest &&req)
         // Command phase to the bank's controller.  A crossing command
         // pays every link of the route (latency only: commands are
         // tiny).
-        Tick at = queue(home).now() +
+        Tick at = eq_->now() +
                   cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus) +
                   memory_->links().pathLatency(home, f->bank);
-        engine_->send(home, memory_->links().partitionOf(f->bank), at,
-                      [this, f] { memGetAccess(f); });
+        eq_->scheduleAt(at, [this, f] { memGetAccess(f); });
     } else {
         // LS read, then the data rides out.
         Tick ls_done =
             spes_[f->req.speIndex]->ls().reservePort(f->req.bytes);
-        queue(home).scheduleAt(ls_done, [this, f] { memPutRide(f); });
+        eq_->scheduleAt(ls_done, [this, f] { memPutRide(f); });
     }
 }
 
@@ -336,7 +299,7 @@ CellSystem::memGetLand(Flight *f)
     if (f->req.corrupt)
         f->payload[0] ^= 0xA5;
     s->ls().write(f->req.lsa, f->payload, f->req.bytes);
-    queue(f->home).scheduleAt(done_at, [this, f] { finishFlight(f); });
+    eq_->scheduleAt(done_at, [this, f] { finishFlight(f); });
 }
 
 void
@@ -385,10 +348,9 @@ CellSystem::memPutAck(Flight *f)
         memory_->bank(f->bank).reserveAccess(f->req.ea, f->req.bytes, true);
     // The write acknowledgment crosses back to the issuing chip
     // (latency only, every link of the route).
-    engine_->send(f->bank, f->home,
-                  completion + memory_->links().pathLatency(f->bank,
-                                                            f->home),
-                  [this, f] { finishFlight(f); });
+    eq_->scheduleAt(completion +
+                        memory_->links().pathLatency(f->bank, f->home),
+                    [this, f] { finishFlight(f); });
 }
 
 /**
@@ -428,18 +390,17 @@ CellSystem::routeLocalStore(spe::LineRequest &&req)
     // reaches the remote MFC, crossing to its chip if need be; a PUT's
     // data originates locally.
     const unsigned src = isGet ? peer : home;
-    Tick at = queue(home).now() + memory_->links().pathLatency(home, src);
+    Tick at = eq_->now() + memory_->links().pathLatency(home, src);
     if (isGet)
         at += cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus);
-    engine_->send(home, src, at, [this, f] { lsRead(f); });
+    eq_->scheduleAt(at, [this, f] { lsRead(f); });
 }
 
 void
 CellSystem::lsRead(Flight *f)
 {
     Tick read_done = spes_[f->srcSpe]->ls().reservePort(f->req.bytes);
-    queue(chipOf(f->srcSpe)).scheduleAt(read_done,
-                                        [this, f] { lsRide(f); });
+    eq_->scheduleAt(read_done, [this, f] { lsRide(f); });
 }
 
 void
@@ -486,16 +447,15 @@ CellSystem::lsLand(Flight *f)
     // A crossing PUT lands on the far chip: its completion
     // acknowledgment crosses back to the issuing chip.
     const unsigned at = chipOf(f->dstSpe);
-    engine_->send(at, f->home,
-                  done_at + memory_->links().pathLatency(at, f->home),
-                  [this, f] { finishFlight(f); });
+    eq_->scheduleAt(done_at + memory_->links().pathLatency(at, f->home),
+                    [this, f] { finishFlight(f); });
 }
 
 void
 CellSystem::finishFlight(Flight *f)
 {
     auto done = std::move(f->req.done);
-    releaseFlight(f);
+    flights_.release(f);
     done();
 }
 
@@ -585,18 +545,7 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
         reg.counter("trace.eib_dropped").add(recorder_->eibDropped());
     }
     if (cfg_.simProfile) {
-        std::array<sim::EventQueue::TagProfile,
-                   sim::EventQueue::kNumTags>
-            total{};
-        auto fold = [&total](const sim::EventQueue &q) {
-            const auto &p = q.tagProfiles();
-            for (std::size_t i = 0; i < p.size(); ++i) {
-                total[i].events += p[i].events;
-                total[i].selfNs += p[i].selfNs;
-            }
-        };
-        for (unsigned p = 0; p < engine_->partitions(); ++p)
-            fold(engine_->queue(p));
+        const auto &total = eq_->tagProfiles();
         for (std::size_t i = 0; i < total.size(); ++i) {
             if (!total[i].events)
                 continue;
@@ -607,13 +556,6 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
             reg.counter(util::format("profile.%s.self_ns",
                                      sim::toString(tag)))
                 .add(total[i].selfNs);
-        }
-        // One chip crosses no partition and opens no window: its
-        // report has no rows for them.
-        if (engine_->partitions() > 1) {
-            reg.counter("profile.crossings.delivered")
-                .add(engine_->messagesDelivered());
-            reg.counter("profile.engine.windows").add(engine_->windows());
         }
     }
 }

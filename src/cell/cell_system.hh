@@ -11,36 +11,27 @@
  * everything 10 times over different mappings; our affinity policies
  * beyond Random are the extension the paper asks libspe for).
  *
- * Execution engine.  Every system runs on one conservative parallel
- * engine (sim::PartitionedEngine) with one partition per chip:
- * chip-local routing stays on the chip's own queue, and anything that
+ * Execution.  Every chip runs on one event queue.  Anything that
  * crosses a link (the on-blade IOIF or an inter-blade link — see
- * mem::LinkGraph) to another chip travels as a cross-partition message
- * delivered at least one crossing latency later; multi-hop routes
- * re-enter the router at each intermediate chip.  Every hand-off goes
- * through the engine's send(), which is a plain event when both ends
- * are one partition.  A single chip is one partition: it never posts,
- * and its run drains one queue with no windows.  The partitioned
- * schedule is fixed — --sim-jobs only chooses how many worker threads
- * execute it, so reports are bit-identical for any value.
+ * mem::LinkGraph) to another chip is an event scheduled at the tick it
+ * arrives there; multi-hop routes re-enter the router at each
+ * intermediate chip.  Events of one tick fire in the order they were
+ * scheduled, whichever chip they belong to.
  *
  * One set of routing stages serves every chip count.  Each in-flight DMA
- * line is a Flight: a slot in its home chip's arena (the issuing SPE's
- * chip) whose address never changes, holding the request, the routing
- * state and a 128-byte payload.  Every stage, on the home chip or on
- * the far chip the line visits, captures {this, Flight *}, so the hot
- * path schedules inline-stored callbacks and allocates nothing.  Only
- * the home chip acquires and releases a flight; while the line is on
- * the far chip, the home chip does not touch it.  A crossing line's
- * data meets the backing store at the far stage: a GET reads it as the
- * line leaves the bank's chip, a PUT writes it when the line arrives
- * over the link.
+ * line is a Flight: a slot in the system's flight arena whose address
+ * never changes, holding the request, the routing state and a 128-byte
+ * payload.  Every stage, on the home chip (the issuing SPE's) or on the
+ * far chip the line visits, captures {this, Flight *}, so the hot path
+ * schedules inline-stored callbacks and allocates nothing.  A crossing
+ * line's data meets the backing store at the far stage: a GET reads it
+ * as the line leaves the bank's chip, a PUT writes it when the line
+ * arrives over the link.
  *
  * The single-chip blade still has the second chip's XDR bank behind
- * the IOIF (the NUMA ablations) but not that chip's EIB: the far bank
- * runs on partition 0 (mem::LinkGraph::partitionOf), a line to it pays
- * the link and the bank only, and its write completes when the bank
- * accepts it, with no acknowledgment crossing back.
+ * the IOIF (the NUMA ablations) but not that chip's EIB: a line to the
+ * far bank pays the link and the bank only, and its write completes
+ * when the bank accepts it, with no acknowledgment crossing back.
  *
  * @code
  *   cell::CellConfig cfg;
@@ -59,7 +50,7 @@
 
 #include "cell/config.hh"
 #include "eib/topology.hh"
-#include "sim/parallel.hh"
+#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/task.hh"
 #include "trace/recorder.hh"
@@ -90,8 +81,8 @@ class CellSystem
 
     /** @name Component access. */
     /** @{ */
-    /** Chip 0's event queue (the only queue of a single-chip system). */
-    sim::EventQueue &eventQueue() { return engine_->queue(0); }
+    /** The one event queue every chip runs on. */
+    sim::EventQueue &eventQueue() { return *eq_; }
     const sim::ClockSpec &clock() const { return cfg_.clock; }
     const CellConfig &config() const { return cfg_; }
     /** The seed this run was built with (workloads derive their own
@@ -103,8 +94,6 @@ class CellSystem
     ppe::Ppu &ppu() { return *ppu_; }
     mem::MemorySystem &memory() { return *memory_; }
     eib::Eib &eib(unsigned chip = 0);
-    /** The engine: one partition per chip. */
-    sim::PartitionedEngine &engine() { return *engine_; }
     /** @} */
 
     /** Allocate main memory with the config's NUMA policy. */
@@ -173,17 +162,10 @@ class CellSystem
     const VerifyStats &verifyStats() const { return verifyStats_; }
     /** @} */
 
-    Tick now() const { return engine_->lastDispatchTick(); }
+    Tick now() const { return eq_->lastDispatchTick(); }
 
     /** Seconds of simulated time elapsed since construction. */
     double seconds() const { return cfg_.clock.seconds(now()); }
-
-    /**
-     * Worker threads run() will use: --sim-jobs clamped to the chip
-     * count, forced to 1 when verification or tracing hooks (which
-     * touch cross-chip state) are installed.
-     */
-    unsigned runThreads() const;
 
     /** @name Placement introspection.  Physical SPE slots 8c..8c+7
      *        live on chip c. */
@@ -217,8 +199,8 @@ class CellSystem
         std::uint8_t payload[spe::lineBytes];
     };
 
-    /** One chip's flights: allocated in chunks, never moved, recycled
-     *  through a free list. */
+    /** The flights: allocated in chunks, never moved, recycled through
+     *  a free list. */
     class FlightArena
     {
       public:
@@ -250,17 +232,13 @@ class CellSystem
     };
 
     Flight *
-    acquireFlight(unsigned chip, spe::LineRequest &&req)
+    acquireFlight(unsigned home, spe::LineRequest &&req)
     {
-        Flight *f = arenas_[chip].acquire();
+        Flight *f = flights_.acquire();
         f->req = std::move(req);
-        f->home = static_cast<std::uint8_t>(chip);
+        f->home = static_cast<std::uint8_t>(home);
         return f;
     }
-
-    void releaseFlight(Flight *f) { arenas_[f->home].release(f); }
-
-    sim::EventQueue &queue(unsigned chip) { return engine_->queue(chip); }
 
     /** The EIB on bank @p b's chip, or nullptr for the single-chip
      *  blade's far bank, which has no chip of its own. */
@@ -291,7 +269,7 @@ class CellSystem
     void lsCross(Flight *f);
     void lsArrive(Flight *f);
     void lsLand(Flight *f);
-    /** Release @p f and run its completion (home chip). */
+    /** Release @p f and run its completion. */
     void finishFlight(Flight *f);
     /** @} */
 
@@ -300,12 +278,12 @@ class CellSystem
 
     CellConfig cfg_;
     std::uint64_t placementSeed_ = 0;
-    std::unique_ptr<sim::PartitionedEngine> engine_;
+    std::unique_ptr<sim::EventQueue> eq_;
     std::unique_ptr<mem::MemorySystem> memory_;
     std::vector<std::unique_ptr<eib::Eib>> eibs_;
     std::unique_ptr<ppe::Ppu> ppu_;
     std::vector<std::unique_ptr<spe::Spe>> spes_;
-    std::vector<FlightArena> arenas_;        // one per chip
+    FlightArena flights_;
     std::vector<std::uint32_t> placement_;   // logical -> physical SPE
     std::vector<sim::Task> programs_;
     std::unique_ptr<trace::Recorder> recorder_;

@@ -153,10 +153,6 @@ CellConfig::registerOptions(util::Options &opts)
                  "base seed of the fault-injection generators");
     opts.addBool("verify", false,
                  "cross-check every DMA against the backing store");
-    opts.addUint("sim-jobs", 1,
-                 "worker threads for per-chip parallel simulation "
-                 "(result-neutral; 0 = one per chip)",
-                 u32);
     opts.addBool("sim-profile", false,
                  "book per-component event counts and self-time into "
                  "the report");
@@ -277,7 +273,6 @@ CellConfig::fromOptions(const util::Options &opts)
         sim::fatal("--fault-*-rate values must be >= 0 and sum to <= 1");
     }
     cfg.verify = opts.getBool("verify");
-    cfg.simJobs = static_cast<unsigned>(opts.getUint("sim-jobs"));
     cfg.simProfile = opts.getBool("sim-profile");
     return cfg;
 }

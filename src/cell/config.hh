@@ -74,14 +74,8 @@ struct CellConfig
      */
     bool verify = false;
 
-    /**
-     * Worker threads for the conservative parallel engine
-     * (--sim-jobs): each chip is a partition synchronized at IOIF
-     * crossing-latency granularity.  Effective parallelism is capped at
-     * numChips; reports are bit-identical for any value, so the flag is
-     * result-neutral (0 = one thread per chip).  Distinct from --jobs,
-     * which parallelizes *across* repeated runs.
-     */
+    /** Read by nothing: every chip runs on one event queue.  Kept only
+     *  because benchmark/harness/trace.cpp:450 still writes it. */
     unsigned simJobs = 1;
 
     /**

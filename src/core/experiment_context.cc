@@ -45,11 +45,8 @@ ExperimentContext::ExperimentContext(std::string prog,
     opts.setResultNeutral("jobs");
     opts.setResultNeutral("csv");
     opts.setResultNeutral("json");
-    // --sim-jobs picks how many threads execute the partitioned
-    // schedule; the schedule itself (and the report) is the same for
-    // any value.  --sim-profile is NOT neutral: it adds profile.*
-    // counters to the report's metrics section.
-    opts.setResultNeutral("sim-jobs");
+    // --sim-profile is NOT neutral: it adds profile.* counters to the
+    // report's metrics section.
 }
 
 bool
@@ -119,6 +116,15 @@ ExperimentContext::requireSpes(unsigned n) const
 {
     if (cfg.numSpes < n)
         sim::fatal("needs at least %u SPEs; --spes is %u", n, cfg.numSpes);
+}
+
+void
+ExperimentContext::requireDefaultSpes() const
+{
+    const unsigned fixed = cell::CellConfig{}.numSpes;
+    if (cfg.numSpes != fixed)
+        sim::fatal("sets each point's SPE count itself; --spes must be "
+                   "%u, not %u", fixed, cfg.numSpes);
 }
 
 std::vector<unsigned>

@@ -81,6 +81,14 @@ class ExperimentContext
      */
     void requireSpes(unsigned n) const;
 
+    /**
+     * Fail unless --spes is left at its default: for an experiment
+     * that sets every point's SPE count itself and so cannot honour it.
+     * A body calls this before its header.
+     * @throws sim::FatalError naming --spes.
+     */
+    void requireDefaultSpes() const;
+
     /** The SPE counts of @p counts that --spes allows, in order;
      *  requireSpes() of the smallest when none is left. */
     std::vector<unsigned>

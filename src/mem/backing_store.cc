@@ -93,13 +93,6 @@ BackingStore::fill(EffAddr ea, std::uint8_t value, std::uint64_t size)
     }
 }
 
-void
-BackingStore::touch(EffAddr ea, std::uint64_t size)
-{
-    for (EffAddr a = ea - ea % pageBytes_; a < ea + size; a += pageBytes_)
-        pageFor(a);
-}
-
 std::uint8_t
 BackingStore::byteAt(EffAddr ea) const
 {

@@ -42,14 +42,6 @@ class BackingStore
     /** Fill @p size bytes at @p ea with @p value. */
     void fill(EffAddr ea, std::uint8_t value, std::uint64_t size);
 
-    /**
-     * Pre-fault every page in [@p ea, @p ea + @p size).  A partitioned
-     * simulation with threaded windows pre-touches each allocation so
-     * neither the index nor a page is created while two chips access
-     * the store concurrently; serial windows back pages lazily.
-     */
-    void touch(EffAddr ea, std::uint64_t size);
-
     /** Read a single byte (0 if the page was never touched). */
     std::uint8_t byteAt(EffAddr ea) const;
 

@@ -5,9 +5,8 @@
  * On the dual-Cell blade the second chip's XDR bank is reached through
  * the IOIF, which the paper quotes at 7 GB/s.  The link serializes
  * traffic per direction at that rate and adds a fixed crossing latency.
- * Each end of a link is a partition of the simulation's engine, and a
- * crossing completes on the receiving end's partition through
- * sim::PartitionedEngine::send().
+ * Both ends share the simulation's one event queue: a crossing is an
+ * event scheduled at the tick its tail arrives.
  */
 
 #ifndef CELLBW_MEM_IO_LINK_HH
@@ -17,7 +16,7 @@
 #include <string>
 #include <utility>
 
-#include "sim/parallel.hh"
+#include "sim/event_queue.hh"
 
 namespace cellbw::mem
 {
@@ -39,31 +38,20 @@ class IoLink
      *  IOIF, away from and toward chip 0). */
     enum class Dir { Outbound = 0, Inbound = 1 };
 
-    /**
-     * A link between partitions @p lo and @p hi of @p engine, those of
-     * its lower- and higher-numbered chip (one partition when both ends
-     * run on it).  Outbound sends from @p lo, Inbound from @p hi; a
-     * lane's reservation clock reads its sender's queue.
-     */
-    IoLink(std::string name, sim::PartitionedEngine &engine, unsigned lo,
-           unsigned hi, const IoLinkParams &p);
+    /** A link whose lanes reserve and complete on @p eq. */
+    IoLink(std::string name, sim::EventQueue &eq, const IoLinkParams &p);
 
     /**
      * Send @p bytes across the link in direction @p dir; @p onDone fires
-     * on the receiving end's partition when the tail of the message
-     * arrives there.
+     * when the tail of the message arrives on the far side.
      */
     template <typename F>
     void
     send(Dir dir, std::uint32_t bytes, F &&onDone)
     {
-        const int d = static_cast<int>(dir);
         const Tick arrival = reserveSend(dir, bytes);
-        // A completion on the sender's own partition is booked as a
-        // link event here; a post is booked so at delivery.
-        sim::TagScope tag(engine_.queue(end_[d]), sim::EventTag::IoLink);
-        engine_.send(end_[d], end_[1 - d], arrival,
-                     std::forward<F>(onDone));
+        sim::TagScope tag(eq_, sim::EventTag::IoLink);
+        eq_.scheduleAt(arrival, std::forward<F>(onDone));
     }
 
     /**
@@ -81,9 +69,7 @@ class IoLink
 
   private:
     std::string name_;
-    sim::PartitionedEngine &engine_;
-    /** Partition of the lane's sender: [Outbound] = lo, [Inbound] = hi. */
-    unsigned end_[2];
+    sim::EventQueue &eq_;
     IoLinkParams params_;
     Tick freeAt_[2] = {0, 0};
     std::uint64_t bytesSent_[2] = {0, 0};

@@ -1,8 +1,5 @@
 #include "mem/link_graph.hh"
 
-#include <algorithm>
-#include <limits>
-
 #include "sim/logging.hh"
 #include "stats/metrics.hh"
 #include "util/strings.hh"
@@ -10,11 +7,10 @@
 namespace cellbw::mem
 {
 
-LinkGraph::LinkGraph(const std::string &prefix,
-                     sim::PartitionedEngine &engine,
+LinkGraph::LinkGraph(const std::string &prefix, sim::EventQueue &eq,
                      eib::ClusterShape shape, const IoLinkParams &ioif,
                      const IoLinkParams &bladeLink)
-    : shape_(shape), partitions_(engine.partitions())
+    : shape_(shape)
 {
     if (!shape_.valid()) {
         sim::fatal("invalid cluster shape: %u chips on %u blades",
@@ -37,8 +33,7 @@ LinkGraph::LinkGraph(const std::string &prefix,
                 static_cast<int>(edges_.size());
         edges_.push_back(
             {interBlade, suffix,
-             std::make_unique<IoLink>(prefix + "." + suffix, engine,
-                                      partitionOf(lo), partitionOf(hi),
+             std::make_unique<IoLink>(prefix + "." + suffix, eq,
                                       interBlade ? bladeLink : ioif)});
     });
 }
@@ -77,15 +72,6 @@ LinkGraph::pathLatency(unsigned from, unsigned to) const
         from = h.next;
     }
     return total;
-}
-
-Tick
-LinkGraph::minCrossingLatency() const
-{
-    Tick min = std::numeric_limits<Tick>::max();
-    for (const auto &e : edges_)
-        min = std::min(min, e.link->crossingLatency());
-    return min;
 }
 
 void

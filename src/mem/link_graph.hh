@@ -10,19 +10,13 @@
  * directly to the destination blade's gateway, so any path is at most
  * three hops.
  *
- * Each chip runs on its own partition of the simulation's engine, and
- * each link's ends are its two chips' partitions.  The single-chip
- * blade's far bank has no chip of its own: it runs on partition 0
- * (partitionOf()), so both ends of that blade's IOIF are partition 0.
- *
- * Data transfers serialize on every link of the path (each hop's
- * completion re-enters sendData from the intermediate chip, which keeps
- * each lane's reservation clock owned by its source partition under
- * --sim-jobs).  The DMA router's continuation is {router, flight}; each
- * hop carries it by value inside a plain event callback, so a crossing
- * line allocates nothing on any hop.  Commands and acks are
- * latency-only and use pathLatency() with a direct
- * sim::PartitionedEngine::send() instead.
+ * Every link runs on the simulation's one event queue.  Data transfers
+ * serialize on every link of the path: each hop's completion re-enters
+ * sendData from the intermediate chip, so a lane is reserved at the
+ * tick the line reaches it.  The DMA router's continuation is {router,
+ * flight}; each hop carries it by value inside a plain event callback,
+ * so a crossing line allocates nothing on any hop.  Commands and acks
+ * are latency-only: the router schedules them pathLatency() ahead.
  */
 
 #ifndef CELLBW_MEM_LINK_GRAPH_HH
@@ -64,7 +58,7 @@ class LinkGraph
         unsigned next;
     };
 
-    LinkGraph(const std::string &prefix, sim::PartitionedEngine &engine,
+    LinkGraph(const std::string &prefix, sim::EventQueue &eq,
               eib::ClusterShape shape, const IoLinkParams &ioif,
               const IoLinkParams &bladeLink);
 
@@ -81,25 +75,18 @@ class LinkGraph
         return i < 0 ? nullptr : edges_[static_cast<unsigned>(i)].link.get();
     }
 
-    /** The partition chip @p c runs on: its own, or partition 0 for a
-     *  chip the engine lacks (the single-chip blade's far bank). */
-    unsigned partitionOf(unsigned c) const { return c < partitions_ ? c : 0; }
-
     /** First routing step from @p from towards @p to (from != to). */
     Hop firstHop(unsigned from, unsigned to) const;
 
     /** Sum of crossing latencies along the route (0 when from == to). */
     Tick pathLatency(unsigned from, unsigned to) const;
 
-    /** Smallest crossing latency of any link in the graph. */
-    Tick minCrossingLatency() const;
-
     /**
      * Move @p bytes from chip @p from to chip @p to, serializing on
-     * every link of the route; @p onDone fires on @p to's partition
-     * when the tail arrives there.  Each hop carries @p onDone by
-     * value, so a continuation of two words stays inside the event
-     * callback's inline window on every hop.
+     * every link of the route; @p onDone fires when the tail arrives
+     * at @p to.  Each hop carries @p onDone by value, so a
+     * continuation of two words stays inside the event callback's
+     * inline window on every hop.
      */
     template <typename F>
     void
@@ -125,7 +112,6 @@ class LinkGraph
 
   private:
     eib::ClusterShape shape_;
-    unsigned partitions_;
     std::vector<Edge> edges_;
     std::vector<int> idx_;             // chips x chips -> edge or -1
 };

@@ -10,18 +10,17 @@ namespace cellbw::mem
 {
 
 MemorySystem::MemorySystem(const std::string &name,
-                           sim::PartitionedEngine &engine,
+                           sim::EventQueue &eq,
                            const MemorySystemParams &params)
     : allocator_(params.pageBytes, std::max(params.numChips, 2u)),
       numBanks_(std::max(params.numChips, 2u))
 {
     links_ = std::make_unique<LinkGraph>(
-        name, engine, eib::ClusterShape::of(numBanks_, params.numBlades),
+        name, eq, eib::ClusterShape::of(numBanks_, params.numBlades),
         params.ioLink, params.bladeLink);
     for (unsigned b = 0; b < numBanks_; ++b) {
         banks_.push_back(std::make_unique<DramBank>(
-            name + util::format(".bank%u", b),
-            engine.queue(links_->partitionOf(b)),
+            name + util::format(".bank%u", b), eq,
             b == 0 ? params.bank0 : params.bank1));
     }
 }

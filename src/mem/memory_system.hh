@@ -44,9 +44,8 @@ struct MemorySystemParams
 class MemorySystem
 {
   public:
-    /** Bank i runs on chip i's partition of @p engine
-     *  (LinkGraph::partitionOf). */
-    MemorySystem(const std::string &name, sim::PartitionedEngine &engine,
+    /** Every bank and link runs on @p eq. */
+    MemorySystem(const std::string &name, sim::EventQueue &eq,
                  const MemorySystemParams &params);
 
     /** Allocate simulated memory; returns the base effective address. */

@@ -155,38 +155,6 @@ EventQueue::refreshHorizon()
     }
 }
 
-Tick
-EventQueue::nextBucketTick() const
-{
-    const std::size_t start = static_cast<std::size_t>(now_ % kWindow);
-    std::size_t w = start / 64;
-    // Bits below `start` in the first word belong to the far end of the
-    // ring; mask them so the scan begins at now().  They are rechecked
-    // (with the correct wrapped delta) when the scan comes around.
-    std::uint64_t word = occupied_[w] &
-                         (~std::uint64_t(0) << (start % 64));
-    for (std::size_t scanned = 0; scanned <= kWords; ++scanned) {
-        if (word) {
-            const std::size_t idx =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-            const std::size_t delta = (idx + kWindow - start) % kWindow;
-            return now_ + delta;
-        }
-        w = (w + 1) % kWords;
-        word = occupied_[w];
-    }
-    return maxTick;
-}
-
-Tick
-EventQueue::nextEventTick() const
-{
-    const Tick ring = nextBucketTick();
-    if (!overflow_.empty() && overflow_.top().when < ring)
-        return overflow_.top().when;
-    return ring;
-}
-
 std::uint64_t
 EventQueue::dispatchTick(Tick t)
 {

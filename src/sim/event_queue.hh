@@ -185,13 +185,6 @@ class EventQueue
     std::uint64_t eventsProcessed() const { return processed_; }
 
     /**
-     * Timestamp of the earliest pending event, or maxTick when the
-     * queue is empty.  Used by the partitioned engine to size
-     * synchronization windows.
-     */
-    Tick nextEventTick() const;
-
-    /**
      * Tick of the most recently dispatched event.  Unlike now() — which
      * runUntil() advances to the requested horizon — this tracks when
      * work last actually happened, which is what bandwidth math wants.
@@ -315,12 +308,6 @@ class EventQueue
      * @return events processed.
      */
     std::uint64_t drainRing(Tick cap);
-
-    /**
-     * Earliest tick with a bucketed event, or maxTick when the ring is
-     * empty.  Only valid between dispatches (buckets < now() are clear).
-     */
-    Tick nextBucketTick() const;
 
     /** Fire every event in the (non-empty) bucket for tick @p t. */
     std::uint64_t dispatchTick(Tick t);

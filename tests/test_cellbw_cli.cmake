@@ -203,4 +203,37 @@ if(NOT spes4_none_err MATCHES
                         "stderr:\n${spes4_none_err}")
 endif()
 
+# The cluster experiments set each point's SPE count themselves, so
+# they refuse an --spes they cannot honour (they once ignored it and
+# exited 0) before their header.
+foreach(exp abl_dualchip cluster_halo)
+    run_cellbw(spes4_${exp} 1 run ${exp} --quick --runs 1 --spes 4)
+    if(NOT spes4_${exp}_err MATCHES
+           "cellbw run: ${exp}: .*--spes must be 8, not 4" OR
+       NOT spes4_${exp}_out STREQUAL "")
+        message(FATAL_ERROR "${exp} --spes 4: stdout:\n"
+                            "${spes4_${exp}_out}\n"
+                            "stderr:\n${spes4_${exp}_err}")
+    endif()
+endforeach()
+
+# Every chip runs on one event queue; the per-chip thread flag is gone.
+run_cellbw(simjobs 1 run cluster_halo --quick --sim-jobs 2)
+if(NOT simjobs_err MATCHES "unknown option --sim-jobs" OR
+   NOT simjobs_out STREQUAL "")
+    message(FATAL_ERROR "run --sim-jobs 2: stdout:\n${simjobs_out}\n"
+                        "stderr:\n${simjobs_err}")
+endif()
+
+# An engine parameter must not change an answer.  Two chips on two
+# blades have no IOIF between them, so --ioif-latency reaches no line;
+# a lookahead derived from it once reordered same-tick crossings and
+# moved five values and metrics.
+run_cellbw(ioif_default 0 run abl_dualchip --quick --chips 2 --blades 2
+           --json ioif_default.json)
+run_cellbw(ioif_400 0 run abl_dualchip --quick --chips 2 --blades 2
+           --ioif-latency 400 --json ioif_400.json)
+run_cellbw(ioif_same 0 compare ioif_400.json ioif_default.json --tol 0
+           --metrics)
+
 message(STATUS "cellbw CLI error paths behave")

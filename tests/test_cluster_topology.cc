@@ -85,8 +85,8 @@ TEST(ClusterShape, LinkEnumeration)
 
 TEST(LinkGraph, EdgesAndNames)
 {
-    sim::PartitionedEngine eng(4, 84);
-    mem::LinkGraph g("mem", eng, eib::ClusterShape::of(4, 2),
+    sim::EventQueue eq;
+    mem::LinkGraph g("mem", eq, eib::ClusterShape::of(4, 2),
                      linkParams(3.33, 84), linkParams(1.0, 840));
     ASSERT_EQ(g.numLinks(), 3u);
     EXPECT_EQ(g.edge(0).suffix, "ioif");
@@ -109,8 +109,8 @@ TEST(LinkGraph, EdgesAndNames)
 TEST(LinkGraph, GatewayRoutingAndLatency)
 {
     const Tick ioif = 84, blade = 840;
-    sim::PartitionedEngine eng(4, ioif);
-    mem::LinkGraph g("mem", eng, eib::ClusterShape::of(4, 2),
+    sim::EventQueue eq;
+    mem::LinkGraph g("mem", eq, eib::ClusterShape::of(4, 2),
                      linkParams(3.33, ioif), linkParams(1.0, blade));
 
     // Direct neighbours: one hop, lane named from the lower chip's
@@ -138,38 +138,48 @@ TEST(LinkGraph, GatewayRoutingAndLatency)
     EXPECT_EQ(g.pathLatency(1, 3), ioif + blade + ioif);
     // Routes are symmetric in latency.
     EXPECT_EQ(g.pathLatency(3, 1), g.pathLatency(1, 3));
-
-    EXPECT_EQ(g.minCrossingLatency(), ioif);
 }
 
-TEST(LinkGraph, OneChipsFarBankRunsOnPartitionZero)
+TEST(LinkGraph, OneChipsFarBankCrossesTheIoif)
 {
-    // The single-chip blade: two banks, one chip.  Both ends of its
-    // IOIF are partition 0, so a crossing is an event there, not a
-    // post.
-    sim::PartitionedEngine eng(1, 0);
-    mem::LinkGraph g("mem", eng, eib::ClusterShape::of(2, 0),
+    // The single-chip blade: two banks, one chip.  A line from the far
+    // bank serializes on the IOIF's Inbound lane and lands one event
+    // later on the same queue.
+    sim::EventQueue eq;
+    mem::LinkGraph g("mem", eq, eib::ClusterShape::of(2, 0),
                      linkParams(4.0, 10), linkParams(1.0, 840));
-    EXPECT_EQ(g.partitionOf(0), 0u);
-    EXPECT_EQ(g.partitionOf(1), 0u);
     Tick done = 0;
-    g.sendData(1, 0, 128, [&] { done = eng.queue(0).now(); });
-    eng.run(1);
+    g.sendData(1, 0, 128, [&] { done = eq.now(); });
+    EXPECT_EQ(eq.run(), 1u);
     EXPECT_EQ(done, 42u);       // 32 serialize + 10 crossing
-    EXPECT_EQ(eng.messagesDelivered(), 0u);
     EXPECT_EQ(g.link(0).bytesSent(mem::IoLink::Dir::Inbound), 128u);
+    EXPECT_EQ(g.link(0).bytesSent(mem::IoLink::Dir::Outbound), 0u);
+}
 
-    sim::PartitionedEngine four(4, 84);
-    mem::LinkGraph cluster("mem", four, eib::ClusterShape::of(4, 2),
-                           linkParams(3.33, 84), linkParams(1.0, 840));
-    for (unsigned c = 0; c < 4; ++c)
-        EXPECT_EQ(cluster.partitionOf(c), c);
+TEST(LinkGraph, MultiHopDataSerializesOnEveryLink)
+{
+    // Chip 1 to chip 3 on two blades: IOIF 0-1, the blade link 0-2 and
+    // IOIF 2-3.  Each hop re-enters sendData when the tail arrives, so
+    // the arrival is the sum of the three serialize + crossing terms.
+    sim::EventQueue eq;
+    mem::LinkGraph g("mem", eq, eib::ClusterShape::of(4, 2),
+                     linkParams(4.0, 10), linkParams(2.0, 100));
+    Tick done = 0;
+    g.sendData(1, 3, 128, [&] { done = eq.now(); });
+    EXPECT_EQ(eq.run(), 3u);
+    EXPECT_EQ(done, (32u + 10u) + (64u + 100u) + (32u + 10u));
+    EXPECT_EQ(g.linkBetween(0, 1)->bytesSent(mem::IoLink::Dir::Inbound),
+              128u);
+    EXPECT_EQ(g.linkBetween(0, 2)->bytesSent(mem::IoLink::Dir::Outbound),
+              128u);
+    EXPECT_EQ(g.linkBetween(2, 3)->bytesSent(mem::IoLink::Dir::Outbound),
+              128u);
 }
 
 TEST(LinkGraph, InvalidShapeIsFatal)
 {
-    sim::PartitionedEngine eng(5, 84);
-    EXPECT_THROW(mem::LinkGraph("mem", eng, eib::ClusterShape::of(5, 2),
+    sim::EventQueue eq;
+    EXPECT_THROW(mem::LinkGraph("mem", eq, eib::ClusterShape::of(5, 2),
                                 linkParams(3.33, 84),
                                 linkParams(1.0, 840)),
                  sim::FatalError);

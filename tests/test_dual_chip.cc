@@ -5,7 +5,6 @@
 
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/experiments.hh"
@@ -124,14 +123,13 @@ struct CrossingRun
 constexpr std::uint32_t kCrossBytes = 16 * 1024;
 
 CrossingRun
-runCrossing(const Crossing &c, bool verify, unsigned simJobs)
+runCrossing(const Crossing &c, bool verify)
 {
     cell::CellConfig cfg;
     cfg.numChips = c.chips;
     cfg.numSpes = 8 * c.chips;
     cfg.affinity = cell::AffinityPolicy::Linear;  // logical i on chip i/8
     cfg.verify = verify;
-    cfg.simJobs = simJobs;
     cell::CellSystem sys(cfg, 1);
     const unsigned issuer = 8 * c.from;
     const unsigned peer = 8 * c.to;
@@ -194,7 +192,7 @@ class CrossChipDma : public ::testing::TestWithParam<Crossing>
 TEST_P(CrossChipDma, DeliversDataOnItsRoute)
 {
     const Crossing &c = GetParam();
-    const CrossingRun checked = runCrossing(c, true, 1);
+    const CrossingRun checked = runCrossing(c, true);
     EXPECT_TRUE(checked.landed);
     EXPECT_EQ(checked.verify.transfersChecked, 1u);
     EXPECT_EQ(checked.verify.divergences, 0u)
@@ -210,15 +208,12 @@ TEST_P(CrossChipDma, DeliversDataOnItsRoute)
     eibs[c.from] = eibs[c.to] = kCrossBytes;
     EXPECT_EQ(checked.eibBytes, eibs);
 
-    // Checked mode runs the windows on one thread; unchecked runs at
-    // one and two worker threads must land the same data at the same
-    // tick.
-    for (unsigned jobs : {1u, 2u}) {
-        const CrossingRun r = runCrossing(c, false, jobs);
-        EXPECT_TRUE(r.landed) << "sim-jobs " << jobs;
-        EXPECT_EQ(r.now, checked.now) << "sim-jobs " << jobs;
-        EXPECT_EQ(r.routeBytes, route) << "sim-jobs " << jobs;
-    }
+    // Checking observes the run without changing it: an unchecked
+    // run lands the same data at the same tick.
+    const CrossingRun r = runCrossing(c, false);
+    EXPECT_TRUE(r.landed);
+    EXPECT_EQ(r.now, checked.now);
+    EXPECT_EQ(r.routeBytes, route);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -240,30 +235,24 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DualChip, FarChipFatalErrorReachesRun)
 {
     // SPE 0 GETs two lines from the end of chip 1's LS; the second
-    // reads past it on chip 1's partition.  Every --sim-jobs value
-    // raises the same catchable error from run().
-    auto message = [](unsigned simJobs) {
-        auto cfg = twoChips();
-        cfg.numSpes = 16;
-        cfg.simJobs = simJobs;
-        cell::CellSystem sys(cfg, 1);
-        auto prog = [&]() -> sim::Task {
-            auto &mfc = sys.spe(0).mfc();
-            mfc.get(0, sys.lsEa(8, 256 * util::KiB - 128), 256, 0);
-            co_await mfc.tagWait(1u << 0);
-        };
-        sys.launch(prog());
-        try {
-            sys.run();
-        } catch (const sim::FatalError &e) {
-            return std::string(e.what());
-        }
-        return std::string();
+    // reads past it on chip 1, and run() raises a catchable error.
+    auto cfg = twoChips();
+    cfg.numSpes = 16;
+    cell::CellSystem sys(cfg, 1);
+    auto prog = [&]() -> sim::Task {
+        auto &mfc = sys.spe(0).mfc();
+        mfc.get(0, sys.lsEa(8, 256 * util::KiB - 128), 256, 0);
+        co_await mfc.tagWait(1u << 0);
     };
-    const std::string serial = message(1);
-    EXPECT_NE(serial.find("out of the 262144-byte store"),
-              std::string::npos) << serial;
-    EXPECT_EQ(message(2), serial);
+    sys.launch(prog());
+    std::string message;
+    try {
+        sys.run();
+    } catch (const sim::FatalError &e) {
+        message = e.what();
+    }
+    EXPECT_NE(message.find("out of the 262144-byte store"),
+              std::string::npos) << message;
 }
 
 TEST(DualChip, CrossChipPairIsIoifLimited)
@@ -334,78 +323,23 @@ TEST(DualChip, PairedAffinityKeepsPairsOnOneChip)
     }
 }
 
-TEST(DualChip, SimJobsNeverChangesTheAnswer)
+TEST(DualChip, ProfiledRunBooksCrossingsAsIoLink)
 {
-    // The partitioned engine's window schedule is fixed by the IOIF
-    // crossing-latency lookahead; worker threads only change who
-    // executes a window.  Bandwidth must therefore be exactly equal —
-    // not merely close — for any --sim-jobs value, including thread
-    // counts above the partition count.
-    auto run = [](unsigned simJobs) {
-        auto cfg = twoChips(cell::AffinityPolicy::Random);
-        cfg.numSpes = 16;
-        cfg.simJobs = simJobs;
-        cell::CellSystem sys(cfg, 7);   // seed 7: mixed placement
-        core::SpeSpeConfig sc;
-        sc.numSpes = 16;
-        sc.elemBytes = 4096;
-        sc.bytesPerStream = 256 * util::KiB;
-        return core::runSpeSpe(sys, sc);
-    };
-    const double serial = run(1);
-    ASSERT_GT(serial, 0.0);
-    EXPECT_EQ(serial, run(2));
-    EXPECT_EQ(serial, run(4));
-}
-
-TEST(DualChip, ProfiledRunBooksCrossingsAsIoLinkAndCountsWindows)
-{
-    // Under --sim-profile every message the engine delivers is a link
-    // crossing and is booked as iolink, and the engine counts its
-    // lookahead windows.  Both follow from the partitioned schedule,
-    // so --sim-jobs must not move them.
-    auto profile = [](unsigned simJobs) {
-        auto cfg = twoChips(cell::AffinityPolicy::Random);
-        cfg.numSpes = 16;
-        cfg.simJobs = simJobs;
-        cfg.simProfile = true;
-        cell::CellSystem sys(cfg, 7);   // seed 7: mixed placement
-        core::SpeSpeConfig sc;
-        sc.numSpes = 16;
-        sc.elemBytes = 4096;
-        sc.bytesPerStream = 64 * util::KiB;
-        core::runSpeSpe(sys, sc);
-        stats::MetricsRegistry reg;
-        sys.snapshotMetrics(reg);
-        auto count = [&reg](const char *name) {
-            const auto *c = reg.findCounter(name);
-            return c ? c->value() : std::uint64_t(0);
-        };
-        return std::pair(count("profile.iolink.events"),
-                         count("profile.engine.windows"));
-    };
-    const auto serial = profile(1);
-    EXPECT_GT(serial.first, 0u);
-    EXPECT_GT(serial.second, 0u);
-    EXPECT_EQ(serial, profile(2));
-}
-
-TEST(DualChip, OnlyThreadedWindowsPreTouchMemory)
-{
-    // Threaded windows need a page map that no chip changes while they
-    // run, so every allocation is faulted in up front.  Serial windows
-    // back main memory lazily, as one chip does.
-    auto touched = [](unsigned simJobs) {
-        auto cfg = twoChips();
-        cfg.simJobs = simJobs;
-        cell::CellSystem sys(cfg, 1);
-        sys.malloc(1 * util::MiB);
-        const auto &store = sys.memory().store();
-        return std::pair(store.touchedPages(), store.pageBytes());
-    };
-    EXPECT_EQ(touched(1).first, 0u);
-    const auto threaded = touched(2);
-    EXPECT_EQ(threaded.first, util::MiB / threaded.second);
+    // Under --sim-profile every link crossing is booked as iolink.
+    auto cfg = twoChips(cell::AffinityPolicy::Random);
+    cfg.numSpes = 16;
+    cfg.simProfile = true;
+    cell::CellSystem sys(cfg, 7);   // seed 7: mixed placement
+    core::SpeSpeConfig sc;
+    sc.numSpes = 16;
+    sc.elemBytes = 4096;
+    sc.bytesPerStream = 64 * util::KiB;
+    core::runSpeSpe(sys, sc);
+    stats::MetricsRegistry reg;
+    sys.snapshotMetrics(reg);
+    const auto *iolink = reg.findCounter("profile.iolink.events");
+    ASSERT_NE(iolink, nullptr);
+    EXPECT_GT(iolink->value(), 0u);
 }
 
 TEST(DualChip, SerialClusterHaloTouchesLessThanItsSlabs)

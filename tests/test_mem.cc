@@ -10,8 +10,8 @@
 #include "mem/io_link.hh"
 #include "mem/memory_system.hh"
 #include "mem/page_allocator.hh"
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
 
 using namespace cellbw;
@@ -367,52 +367,45 @@ linkParams()
 
 TEST(IoLink, DirectionsAreIndependent)
 {
-    // Both ends on one partition, as the single-chip blade's IOIF.
-    sim::PartitionedEngine eng(1, 0);
-    sim::EventQueue &eq = eng.queue(0);
-    mem::IoLink link("io", eng, 0, 0, linkParams());
+    sim::EventQueue eq;
+    mem::IoLink link("io", eq, linkParams());
     Tick out_done = 0, in_done = 0;
     link.send(mem::IoLink::Dir::Outbound, 128, [&] { out_done = eq.now(); });
     link.send(mem::IoLink::Dir::Inbound, 128, [&] { in_done = eq.now(); });
-    eng.run(1);
+    eq.run();
     EXPECT_EQ(out_done, 42u);   // 32 serialize + 10 crossing
     EXPECT_EQ(in_done, 42u);    // not serialized behind outbound
     EXPECT_EQ(link.bytesSent(mem::IoLink::Dir::Outbound), 128u);
-    EXPECT_EQ(eng.messagesDelivered(), 0u);
 }
 
 TEST(IoLink, SameDirectionSerializes)
 {
-    sim::PartitionedEngine eng(1, 0);
-    sim::EventQueue &eq = eng.queue(0);
-    mem::IoLink link("io", eng, 0, 0, linkParams());
+    sim::EventQueue eq;
+    mem::IoLink link("io", eq, linkParams());
     Tick a = 0, b = 0;
     link.send(mem::IoLink::Dir::Inbound, 128, [&] { a = eq.now(); });
     link.send(mem::IoLink::Dir::Inbound, 128, [&] { b = eq.now(); });
-    eng.run(1);
+    eq.run();
     EXPECT_EQ(a, 42u);
     EXPECT_EQ(b, 74u);
 }
 
-TEST(IoLink, CrossingCompletesOnTheReceivingPartition)
+TEST(IoLink, CrossingIsOneEventAtTheTailsArrival)
 {
-    // Partition 1's clock stops at 69 after a first window; partition 0
-    // sends at tick 100 of the next.  The Outbound lane starts from its
-    // sender's clock (a lane reading partition 1's would land at 111),
-    // and the tail arrives as a post on partition 1's queue.
-    sim::PartitionedEngine eng(2, 10);
-    mem::IoLink link("io", eng, 0, 1, linkParams());
+    // A send at tick 100 reserves the lane from that tick and completes
+    // as a single event, booked as a link crossing, when the tail lands.
+    sim::EventQueue eq;
+    eq.setProfiling(true);
+    mem::IoLink link("io", eq, linkParams());
     Tick done = 0;
-    eng.queue(1).scheduleAt(60, [] {});
-    eng.queue(0).scheduleAt(100, [&] {
-        link.send(mem::IoLink::Dir::Outbound, 128,
-                  [&] { done = eng.queue(1).now(); });
+    eq.scheduleAt(100, [&] {
+        link.send(mem::IoLink::Dir::Outbound, 128, [&] { done = eq.now(); });
     });
-    eng.run(1);
+    EXPECT_EQ(eq.run(), 2u);
     EXPECT_EQ(done, 142u);      // 100 + 32 serialize + 10 crossing
-    EXPECT_EQ(eng.messagesDelivered(), 1u);
-    EXPECT_EQ(eng.queue(0).eventsProcessed(), 1u);
-    EXPECT_EQ(eng.queue(1).eventsProcessed(), 2u);
+    const auto &p = eq.tagProfiles();
+    EXPECT_EQ(p[static_cast<std::size_t>(sim::EventTag::IoLink)].events,
+              1u);
     EXPECT_EQ(link.bytesSent(mem::IoLink::Dir::Outbound), 128u);
 }
 
@@ -496,24 +489,24 @@ TEST(PageAllocator, SingleBankInterleaveFallsBackToBank0)
 
 TEST(MemorySystem, BadBankIndexIsFatal)
 {
-    sim::PartitionedEngine eng(1, 0);
+    sim::EventQueue eq;
     mem::MemorySystemParams p;
-    mem::MemorySystem ms("m", eng, p);
+    mem::MemorySystem ms("m", eq, p);
     EXPECT_THROW(ms.bank(2), sim::FatalError);
 }
 
-TEST(MemorySystem, BanksRunOnTheirChipsPartitions)
+TEST(MemorySystem, EveryBankRunsOnTheOneQueue)
 {
-    // One chip: the far bank has no chip and runs on partition 0.
-    sim::PartitionedEngine one(1, 0);
-    mem::MemorySystem blade("m", one, mem::MemorySystemParams{});
-    EXPECT_EQ(&blade.bank(0).eventQueue(), &one.queue(0));
-    EXPECT_EQ(&blade.bank(1).eventQueue(), &one.queue(0));
+    // One chip still has the blade's far bank; four chips have four.
+    sim::EventQueue eq;
+    mem::MemorySystem blade("m", eq, mem::MemorySystemParams{});
+    EXPECT_EQ(&blade.bank(0).eventQueue(), &eq);
+    EXPECT_EQ(&blade.bank(1).eventQueue(), &eq);
 
     mem::MemorySystemParams p;
-    p.numChips = 2;
-    sim::PartitionedEngine two(2, 10);
-    mem::MemorySystem ms("m", two, p);
-    EXPECT_EQ(&ms.bank(0).eventQueue(), &two.queue(0));
-    EXPECT_EQ(&ms.bank(1).eventQueue(), &two.queue(1));
+    p.numChips = 4;
+    mem::MemorySystem ms("m", eq, p);
+    ASSERT_EQ(ms.numBanks(), 4u);
+    for (unsigned b = 0; b < 4; ++b)
+        EXPECT_EQ(&ms.bank(b).eventQueue(), &eq);
 }
