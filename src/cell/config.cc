@@ -105,7 +105,8 @@ CellConfig::registerOptions(util::Options &opts)
     opts.addUint("rings", 4, "EIB data rings", u32);
     opts.addUint("eib-cmd-latency", 20, "EIB command phase, bus cycles",
                  u32);
-    opts.addUint("mfc-queue-depth", 16, "MFC command queue entries", u32);
+    opts.addUint("mfc-queue-depth", 16, "MFC command queue entries (1-1024)",
+                 u32);
     opts.addUint("mfc-mem-tokens", 18,
                  "MFC outstanding 128B lines to main memory", u32);
     opts.addUint("mfc-ls-lines", 64,
@@ -217,10 +218,19 @@ CellConfig::fromOptions(const util::Options &opts)
     cfg.eib.cmdLatencyBus = opts.getUint("eib-cmd-latency");
     cfg.spe.mfc.queueDepth =
         static_cast<unsigned>(opts.getUint("mfc-queue-depth"));
-    cfg.spe.mfc.memoryTokens =
-        static_cast<unsigned>(opts.getUint("mfc-mem-tokens"));
-    cfg.spe.mfc.lsLines =
-        static_cast<unsigned>(opts.getUint("mfc-ls-lines"));
+    if (cfg.spe.mfc.queueDepth < 1 ||
+        cfg.spe.mfc.queueDepth > spe::maxQueueDepth) {
+        sim::fatal("--mfc-queue-depth must be 1..%u, not %u",
+                   spe::maxQueueDepth, cfg.spe.mfc.queueDepth);
+    }
+    auto window = [&](const char *flag) {
+        const auto lines = static_cast<unsigned>(opts.getUint(flag));
+        if (lines == 0)
+            sim::fatal("--%s must be positive, not 0", flag);
+        return lines;
+    };
+    cfg.spe.mfc.memoryTokens = window("mfc-mem-tokens");
+    cfg.spe.mfc.lsLines = window("mfc-ls-lines");
     cfg.spe.mfc.elemOverheadBus = opts.getUint("dma-elem-overhead");
     cfg.spe.mfc.listElemOverheadBus =
         opts.getUint("dma-list-elem-overhead");

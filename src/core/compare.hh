@@ -18,7 +18,7 @@
  * precedence over the global tolerance.
  *
  * The exit contract makes committed BENCH_*.json files an enforced
- * baseline: compareReports() returns every divergence as text and CI
+ * baseline: compareReportTexts() returns every divergence as text and CI
  * exits nonzero when any exists.
  */
 

@@ -144,6 +144,14 @@ constexpr std::uint32_t lineBytes = 128;
 constexpr unsigned numTags = 32;
 
 /**
+ * Deepest MFC command queue a machine flag may ask for.  The hardware
+ * has 16 entries and the queue-depth ablation sweeps up to 32; the MFC
+ * allocates every entry up front, so a limit keeps a typo from
+ * becoming a huge allocation.
+ */
+constexpr unsigned maxQueueDepth = 1024;
+
+/**
  * Base effective address of the memory-mapped local-store apertures.
  * Lines targeting EAs at or above this are LS-to-LS traffic and do not
  * consume memory tokens in the MFC's resource allocator.

@@ -27,10 +27,9 @@ Mfc::Mfc(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
         sim::fatal("%s: fault rates must be >= 0 and sum to <= 1",
                    this->name().c_str());
     }
-    // Fixed command arena: both queues can be full at once, so size the
-    // slot store to the combined depth.  The vector never grows again;
-    // Command pointers stay valid for a command's lifetime.
-    const std::size_t slots = params_.queueDepth + params_.proxyQueueDepth;
+    // Fixed command arena, one slot per queue entry.  The vector never
+    // grows again; Command pointers stay valid for a command's lifetime.
+    const std::size_t slots = params_.queueDepth;
     slotStore_.resize(slots);
     freeSlots_.reserve(slots);
     for (std::size_t i = slots; i-- > 0;)
@@ -70,31 +69,26 @@ Mfc::validate(LsAddr lsa, const SegList &segs, bool isList) const
 }
 
 void
-Mfc::recordFault(DmaDir dir, bool isList, bool proxy, LsAddr lsa,
+Mfc::recordFault(DmaDir dir, bool isList, LsAddr lsa,
                  std::vector<ListElement> segs, unsigned tag,
                  MfcError code)
 {
     sim::debugLog("%s: MFC fault on tag %u: %s", name().c_str(), tag,
                   toString(code));
-    faultLog_.push_back({tag, dir, isList, proxy, lsa, std::move(segs),
-                         code, curTick()});
+    faultLog_.push_back({tag, dir, isList, lsa, std::move(segs), code,
+                         curTick()});
     ++commandsFaulted_;
 }
 
 bool
 Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
-             unsigned tag, Order order, bool proxy)
+             unsigned tag)
 {
     if (tag >= numTags)
         sim::fatal("%s: DMA tag %u out of range", name().c_str(), tag);
-    if (!proxy && spuCount_ >= params_.queueDepth) {
+    if (freeSlots_.empty()) {
         sim::fatal("%s: MFC command queue overflow; "
                    "co_await queueSpace() before issuing",
-                   name().c_str());
-    }
-    if (proxy && proxyCount_ >= params_.proxyQueueDepth) {
-        sim::fatal("%s: MFC proxy queue overflow; "
-                   "co_await proxyQueueSpace() before issuing",
                    name().c_str());
     }
     if (!handler_)
@@ -102,20 +96,16 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
     if (MfcError err = validate(lsa, segs, isList); err != MfcError::None) {
         // Recoverable rejection: nothing enters the queue, the error is
         // latched on the tag group for the program to poll.
-        recordFault(dir, isList, proxy, lsa, segs.toVector(), tag, err);
+        recordFault(dir, isList, lsa, segs.toVector(), tag, err);
         return false;
     }
 
-    // Take a slot from the arena.  The queue-full checks above bound
-    // live commands below the combined depth, so a slot is always free.
     Command *c = freeSlots_.back();
     freeSlots_.pop_back();
     *c = Command{};
     c->dir = dir;
     c->tag = tag;
     c->isList = isList;
-    c->isProxy = proxy;
-    c->order = order;
     c->lsaStart = lsa;
     c->lsaCursor = lsa;
     c->enqueuedAt = curTick();
@@ -138,14 +128,8 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
         }
     }
     queue_.push_back(c);
-    if (proxy)
-        ++proxyCount_;
-    else
-        ++spuCount_;
-    // Queue-depth histogram: occupancy as seen by each accepted
-    // command (both queues share the issue engine, so the combined
-    // depth is what governs issue waiting).
-    std::size_t depth = spuCount_ + proxyCount_;
+    // Queue-depth histogram: occupancy as seen by each accepted command.
+    std::size_t depth = params_.queueDepth - freeSlots_.size();
     if (depth >= depthHist_.size())
         depthHist_.resize(depth + 1, 0);
     ++depthHist_[depth];
@@ -155,51 +139,27 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
 }
 
 bool
-Mfc::proxyGet(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-              Order order)
+Mfc::get(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag)
 {
-    return enqueue(DmaDir::Get, false, lsa, SegList(ea, size), tag,
-                   order, true);
+    return enqueue(DmaDir::Get, false, lsa, SegList(ea, size), tag);
 }
 
 bool
-Mfc::proxyPut(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-              Order order)
+Mfc::put(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag)
 {
-    return enqueue(DmaDir::Put, false, lsa, SegList(ea, size), tag,
-                   order, true);
+    return enqueue(DmaDir::Put, false, lsa, SegList(ea, size), tag);
 }
 
 bool
-Mfc::get(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-         Order order)
+Mfc::getList(LsAddr lsa, std::vector<ListElement> list, unsigned tag)
 {
-    return enqueue(DmaDir::Get, false, lsa, SegList(ea, size), tag,
-                   order);
+    return enqueue(DmaDir::Get, true, lsa, SegList(std::move(list)), tag);
 }
 
 bool
-Mfc::put(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-         Order order)
+Mfc::putList(LsAddr lsa, std::vector<ListElement> list, unsigned tag)
 {
-    return enqueue(DmaDir::Put, false, lsa, SegList(ea, size), tag,
-                   order);
-}
-
-bool
-Mfc::getList(LsAddr lsa, std::vector<ListElement> list, unsigned tag,
-             Order order)
-{
-    return enqueue(DmaDir::Get, true, lsa, SegList(std::move(list)), tag,
-                   order);
-}
-
-bool
-Mfc::putList(LsAddr lsa, std::vector<ListElement> list, unsigned tag,
-             Order order)
-{
-    return enqueue(DmaDir::Put, true, lsa, SegList(std::move(list)), tag,
-                   order);
+    return enqueue(DmaDir::Put, true, lsa, SegList(std::move(list)), tag);
 }
 
 std::uint32_t
@@ -238,49 +198,13 @@ Mfc::takeFaults(unsigned tag)
 }
 
 void
-Mfc::clearFaults()
-{
-    faultLog_.clear();
-}
-
-bool
-Mfc::issuable(const Command &c) const
-{
-    for (const Command *earlier : queue_) {
-        if (earlier == &c)
-            break;
-        if (earlier->tag != c.tag || earlier->done)
-            continue;
-        // A fenced or barriered command waits for every earlier
-        // incomplete command of its tag group.
-        if (c.order != Order::None)
-            return false;
-        // Any command waits for an earlier incomplete barrier of its
-        // tag group.
-        if (earlier->order == Order::Barrier)
-            return false;
-    }
-    return true;
-}
-
-void
 Mfc::scheduleIssue()
 {
-    if (issueInProgress_)
+    if (issueInProgress_ || queue_.empty())
         return;
-    // First command that has not passed the issue engine yet and is
-    // not held back by tag-group fences/barriers.  Commands of other
-    // tag groups may overtake a blocked one, as on real hardware.
-    Command *next = nullptr;
-    for (Command *c : queue_) {
-        if (!c->issued && issuable(*c)) {
-            next = c;
-            break;
-        }
-    }
-    if (!next)
-        return;
-
+    // Commands pass the serial issue engine in arrival order.
+    Command *next = queue_.front();
+    queue_.erase(queue_.begin());
     issueInProgress_ = true;
     Tick occ_bus = params_.elemOverheadBus;
     if (next->isList)
@@ -296,7 +220,6 @@ Mfc::scheduleIssue()
 void
 Mfc::finishIssue(Command *c)
 {
-    c->issued = true;
     c->issuedAt = curTick();
     issueInProgress_ = false;
     if (c->injected == MfcError::Dropped) {
@@ -418,38 +341,30 @@ Mfc::commandComplete(Command *c)
 void
 Mfc::finalizeCompletion(Command *c)
 {
-    c->done = true;
     if (c->injected != MfcError::None) {
-        recordFault(c->dir, c->isList, c->isProxy, c->lsaStart,
-                    c->segs.toVector(), c->tag, c->injected);
+        recordFault(c->dir, c->isList, c->lsaStart, c->segs.toVector(),
+                    c->tag, c->injected);
     }
     if (recorder_) {
         recorder_->dma({c->enqueuedAt, c->issuedAt, curTick(),
                         speIndex_, c->dir, c->tag, c->totalBytes,
-                        c->isList, c->isProxy, c->injected});
+                        c->isList, c->injected});
     }
     if (completionHook_) {
         completionHook_({speIndex_, c->tag, c->dir, c->isList,
-                         c->isProxy, c->lsaStart, c->segs.data(),
-                         c->segs.size(), c->injected});
+                         c->lsaStart, c->segs.data(), c->segs.size(),
+                         c->injected});
     }
     if (tagPending_[c->tag] == 0)
         sim::panic("%s: tag %u underflow", name().c_str(), c->tag);
     --tagPending_[c->tag];
     ++commandsCompleted_;
-    if (c->isProxy)
-        --proxyCount_;
-    else
-        --spuCount_;
-    std::erase(queue_, c);
     // Recycle the arena slot; drop any list storage with it.  Nothing
     // references the command past this point: its line events have all
     // fired and a delayed completion is itself this function.
     c->segs = SegList();
     freeSlots_.push_back(c);
     wakeWaiters();
-    // A completion may unblock a fenced/barriered command.
-    scheduleIssue();
 }
 
 void
@@ -457,18 +372,10 @@ Mfc::wakeWaiters()
 {
     // One queue slot opened: reserve it for one waiting producer so no
     // concurrently-running stream can steal it before the resume fires.
-    if (!spaceWaiters_.empty() &&
-        spuCount_ + reservedSlots_ < params_.queueDepth) {
+    if (!spaceWaiters_.empty() && queueFree() > 0) {
         ++reservedSlots_;
         auto h = spaceWaiters_.front();
         spaceWaiters_.erase(spaceWaiters_.begin());
-        eventQueue().schedule(0, [h] { h.resume(); });
-    }
-    if (!proxyWaiters_.empty() &&
-        proxyCount_ + reservedProxySlots_ < params_.proxyQueueDepth) {
-        ++reservedProxySlots_;
-        auto h = proxyWaiters_.front();
-        proxyWaiters_.erase(proxyWaiters_.begin());
         eventQueue().schedule(0, [h] { h.resume(); });
     }
     // Wake every tag waiter whose mask is now clear.
@@ -496,9 +403,7 @@ Mfc::registerMetrics(stats::MetricsRegistry &reg,
     reg.counter(prefix + ".corruptions_injected")
         .add(corruptionsInjected_);
     reg.counter(prefix + ".delays_injected").add(delaysInjected_);
-    auto &hist = reg.histogram(prefix + ".queue_depth",
-                               params_.queueDepth +
-                                   params_.proxyQueueDepth);
+    auto &hist = reg.histogram(prefix + ".queue_depth");
     for (std::size_t d = 0; d < depthHist_.size(); ++d)
         hist.addBucket(d, depthHist_[d]);
 }

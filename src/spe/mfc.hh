@@ -12,11 +12,11 @@
  *
  * Structure (and the measured effects it produces):
  *  - a 16-entry command queue (entries are held until completion);
- *  - a serial *issue engine* that spends a fixed occupancy per command
- *    (plus a small per-element cost for DMA lists) before the command's
- *    lines can flow.  This is what degrades DMA-elem bandwidth below
- *    1024-byte elements while DMA-list transfers stay flat — the
- *    paper's Figures 10/12/15;
+ *  - a serial *issue engine* that takes commands in arrival order and
+ *    spends a fixed occupancy per command (plus a small per-element
+ *    cost for DMA lists) before the command's lines can flow.  This is
+ *    what degrades DMA-elem bandwidth below 1024-byte elements while
+ *    DMA-list transfers stay flat — the paper's Figures 10/12/15;
  *  - a *line window* limiting outstanding <=128 B lines on the bus.
  *    The window times the memory round-trip pins single-SPE-to-memory
  *    bandwidth near 10 GB/s regardless of element size — Figure 8;
@@ -82,9 +82,6 @@ struct MfcParams
     /** Command-queue depth (CBEA: 16 SPU-side entries). */
     unsigned queueDepth = 16;
 
-    /** Proxy queue depth for PPE-issued commands (CBEA: 8 entries). */
-    unsigned proxyQueueDepth = 8;
-
     /**
      * Max main-memory lines (<=128 B each) in flight at once.  Models
      * the CBE resource-allocation tokens for XDR access; with the
@@ -125,17 +122,8 @@ class Mfc : public sim::SimObject
     /** Attach an event recorder (nullptr disables tracing). */
     void setRecorder(trace::Recorder *recorder) { recorder_ = recorder; }
 
-    /** CBEA tag-group ordering attached to a command. */
-    enum class Order
-    {
-        None,       ///< plain get/put: free to overtake
-        Fence,      ///< *f: waits for earlier commands of its tag group
-        Barrier,    ///< *b: fence + later commands of the group wait
-    };
-
     /** @name Command issue (mirrors mfc_get / mfc_put / mfc_getl /
-     *        mfc_putl and the fence/barrier forms mfc_getf, mfc_putb,
-     *        ...).  fatal()s when the queue is full: await
+     *        mfc_putl).  fatal()s when the queue is full: await
      *        queueSpace() first, as real code must poll for space.
      *
      *        A command that fails CBEA validation (bad size, bad
@@ -144,39 +132,10 @@ class Mfc : public sim::SimObject
      *        and a FaultRecord with the error code is latched on the
      *        command's tag group (poll tagFaultMask / takeFaults). */
     /** @{ */
-    bool get(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-             Order order = Order::None);
-    bool put(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-             Order order = Order::None);
-    bool getList(LsAddr lsa, std::vector<ListElement> list, unsigned tag,
-                 Order order = Order::None);
-    bool putList(LsAddr lsa, std::vector<ListElement> list, unsigned tag,
-                 Order order = Order::None);
-
-    /** mfc_getf / mfc_getb / mfc_putf / mfc_putb. */
-    bool
-    getf(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag)
-    {
-        return get(lsa, ea, size, tag, Order::Fence);
-    }
-
-    bool
-    getb(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag)
-    {
-        return get(lsa, ea, size, tag, Order::Barrier);
-    }
-
-    bool
-    putf(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag)
-    {
-        return put(lsa, ea, size, tag, Order::Fence);
-    }
-
-    bool
-    putb(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag)
-    {
-        return put(lsa, ea, size, tag, Order::Barrier);
-    }
+    bool get(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag);
+    bool put(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag);
+    bool getList(LsAddr lsa, std::vector<ListElement> list, unsigned tag);
+    bool putList(LsAddr lsa, std::vector<ListElement> list, unsigned tag);
     /** @} */
 
     /** @name Fault status.
@@ -192,7 +151,6 @@ class Mfc : public sim::SimObject
         unsigned tag;
         DmaDir dir;
         bool isList;
-        bool isProxy;
         LsAddr lsa;                     ///< original LS start address
         std::vector<ListElement> segs;  ///< original element list
         MfcError code;
@@ -207,9 +165,6 @@ class Mfc : public sim::SimObject
 
     /** Remove and return the fault records latched on @p tag. */
     std::vector<FaultRecord> takeFaults(unsigned tag);
-
-    /** Drop all latched fault records (mfc_write_tag_status ack). */
-    void clearFaults();
     /** @} */
 
     /**
@@ -224,7 +179,6 @@ class Mfc : public sim::SimObject
         unsigned tag;
         DmaDir dir;
         bool isList;
-        bool isProxy;
         LsAddr lsa;                         ///< original LS start
         const ListElement *segs;            ///< element view, numSegs long
         std::size_t numSegs;
@@ -238,58 +192,6 @@ class Mfc : public sim::SimObject
         completionHook_ = std::move(hook);
     }
 
-    /** @name Proxy commands: DMA issued on this MFC by the PPE (or
-     *        another SPE) through the memory-mapped problem-state
-     *        registers.  They share the issue engine and tag groups
-     *        with SPU commands but have their own 8-entry queue
-     *        (CBEA MFC proxy command queue). */
-    /** @{ */
-    bool proxyGet(LsAddr lsa, EffAddr ea, std::uint32_t size,
-                  unsigned tag, Order order = Order::None);
-    bool proxyPut(LsAddr lsa, EffAddr ea, std::uint32_t size,
-                  unsigned tag, Order order = Order::None);
-
-    unsigned
-    proxyQueueFree() const
-    {
-        auto used = proxyCount_ + reservedProxySlots_;
-        return used >= params_.proxyQueueDepth
-                   ? 0
-                   : params_.proxyQueueDepth - used;
-    }
-
-    bool proxyQueueFull() const { return proxyQueueFree() == 0; }
-
-    /** Awaitable mirror of queueSpace() for the proxy queue. */
-    struct ProxySpaceAwaiter
-    {
-        Mfc &mfc;
-        bool suspended = false;
-
-        bool await_ready() const { return !mfc.proxyQueueFull(); }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            suspended = true;
-            mfc.proxyWaiters_.push_back(h);
-        }
-
-        void
-        await_resume()
-        {
-            if (suspended) {
-                if (mfc.reservedProxySlots_ == 0)
-                    sim::panic("%s: proxy reservation underflow",
-                               mfc.name().c_str());
-                --mfc.reservedProxySlots_;
-            }
-        }
-    };
-
-    ProxySpaceAwaiter proxyQueueSpace() { return ProxySpaceAwaiter{*this}; }
-    /** @} */
-
     unsigned queueDepth() const { return params_.queueDepth; }
 
     /**
@@ -300,8 +202,10 @@ class Mfc : public sim::SimObject
     unsigned
     queueFree() const
     {
-        auto used = spuCount_ + reservedSlots_;
-        return used >= params_.queueDepth ? 0 : params_.queueDepth - used;
+        return freeSlots_.size() > reservedSlots_
+                   ? static_cast<unsigned>(freeSlots_.size()) -
+                         reservedSlots_
+                   : 0;
     }
 
     bool queueFull() const { return queueFree() == 0; }
@@ -383,24 +287,16 @@ class Mfc : public sim::SimObject
         return corruptionsInjected_;
     }
     std::uint64_t delaysInjected() const { return delaysInjected_; }
-
-    /**
-     * Command-queue occupancy histogram: index d counts the commands
-     * that were accepted when the combined SPU+proxy queue depth
-     * (including themselves) was d.  A distribution pinned at the
-     * queue depth means the program saturates the MFC; one pinned at 1
-     * means it never overlaps commands.
-     */
-    const std::vector<std::uint64_t> &queueDepthHist() const
-    {
-        return depthHist_;
-    }
     /** @} */
 
     /**
      * Accumulate this MFC's counters into @p reg under `<prefix>.*`:
      * commands, bytes, lines, fault/injection counters, and the
-     * queue-depth histogram as `<prefix>.queue_depth`.
+     * queue-depth histogram as `<prefix>.queue_depth`, whose bucket d
+     * counts the commands accepted when the queue held d commands
+     * (themselves included).  A distribution pinned at the queue depth
+     * means the program saturates the MFC; one pinned at 1 means it
+     * never overlaps commands.
      */
     void registerMetrics(stats::MetricsRegistry &reg,
                          const std::string &prefix) const;
@@ -413,8 +309,6 @@ class Mfc : public sim::SimObject
         DmaDir dir;
         unsigned tag;
         bool isList;
-        bool isProxy = false;
-        Order order;
         LsAddr lsaStart;        ///< original LS address, for hooks/faults
         LsAddr lsaCursor;
         SegList segs;
@@ -422,9 +316,7 @@ class Mfc : public sim::SimObject
         std::size_t nextSeg = 0;
         std::uint32_t segOffset = 0;
         unsigned linesOutstanding = 0;
-        bool issued = false;
         bool allLinesIssued = false;
-        bool done = false;
         Tick enqueuedAt = 0;
         Tick issuedAt = 0;
         std::uint32_t totalBytes = 0;
@@ -437,13 +329,11 @@ class Mfc : public sim::SimObject
     };
 
     bool enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
-                 unsigned tag, Order order, bool proxy = false);
+                 unsigned tag);
 
-    /** Tag-group ordering: may @p c pass the issue engine now? */
-    bool issuable(const Command &c) const;
     MfcError validate(LsAddr lsa, const SegList &segs,
                       bool isList) const;
-    void recordFault(DmaDir dir, bool isList, bool proxy, LsAddr lsa,
+    void recordFault(DmaDir dir, bool isList, LsAddr lsa,
                      std::vector<ListElement> segs, unsigned tag,
                      MfcError code);
     void scheduleIssue();
@@ -461,14 +351,12 @@ class Mfc : public sim::SimObject
     trace::Recorder *recorder_ = nullptr;
 
     /**
-     * Command storage: a fixed arena sized to the combined SPU+proxy
-     * queue depth at construction.  Slots are address-stable for a
-     * command's lifetime (in-flight events hold Command pointers) and
-     * recycle through freeSlots_, so steady-state command traffic
-     * allocates nothing.  queue_ lists the live commands in arrival
-     * order — the order CBEA tag-group fences/barriers are defined
-     * over; at <= 24 entries a contiguous pointer vector beats the
-     * pointer-chase of the std::list it replaces.
+     * Command storage: a fixed arena of queueDepth slots, allocated at
+     * construction.  Slots are address-stable for a command's lifetime
+     * (in-flight events hold Command pointers) and recycle through
+     * freeSlots_, so steady-state command traffic allocates nothing.
+     * queue_ lists the commands that have not reached the issue engine
+     * yet, in arrival order.
      */
     std::vector<Command> slotStore_;
     std::vector<Command *> freeSlots_;
@@ -476,7 +364,7 @@ class Mfc : public sim::SimObject
 
     /**
      * Issued commands with lines left to send, in round-robin order:
-     * a fixed-capacity ring (capacity = combined queue depth).
+     * a fixed-capacity ring (capacity = queue depth).
      * activeLs_ counts the ones whose next line targets an LS
      * aperture; the rest wait on memory tokens.
      */
@@ -534,10 +422,6 @@ class Mfc : public sim::SimObject
 
     std::vector<std::coroutine_handle<>> spaceWaiters_;
     unsigned reservedSlots_ = 0;
-    std::vector<std::coroutine_handle<>> proxyWaiters_;
-    unsigned reservedProxySlots_ = 0;
-    unsigned spuCount_ = 0;
-    unsigned proxyCount_ = 0;
     struct TagWaiter
     {
         std::uint32_t mask;

@@ -18,12 +18,6 @@ Spe::Spe(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
                                  params.spu, *ls_);
     inbound_ = std::make_unique<Mailbox>(this->name() + ".mbox_in", eq, 4);
     outbound_ = std::make_unique<Mailbox>(this->name() + ".mbox_out", eq, 1);
-    // Sig_Notify_1 defaults to OR mode (many-to-one barrier style),
-    // Sig_Notify_2 to overwrite, matching common SDK configuration.
-    sig1_ = std::make_unique<SignalNotify>(this->name() + ".sig1", eq,
-                                           SignalNotify::Mode::Or);
-    sig2_ = std::make_unique<SignalNotify>(this->name() + ".sig2", eq,
-                                           SignalNotify::Mode::Overwrite);
 }
 
 void

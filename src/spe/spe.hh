@@ -17,7 +17,6 @@
 #include "spe/local_store.hh"
 #include "spe/mailbox.hh"
 #include "spe/mfc.hh"
-#include "spe/signal_notify.hh"
 #include "spe/spu.hh"
 
 namespace cellbw::spe
@@ -41,8 +40,6 @@ class Spe : public sim::SimObject
     Spu &spu() { return *spu_; }
     Mailbox &inboundMailbox() { return *inbound_; }
     Mailbox &outboundMailbox() { return *outbound_; }
-    SignalNotify &signal1() { return *sig1_; }
-    SignalNotify &signal2() { return *sig2_; }
 
     /** Logical index, 0-7, as seen through libspe. */
     unsigned logicalIndex() const { return logicalIndex_; }
@@ -69,8 +66,6 @@ class Spe : public sim::SimObject
     std::unique_ptr<Spu> spu_;
     std::unique_ptr<Mailbox> inbound_;
     std::unique_ptr<Mailbox> outbound_;
-    std::unique_ptr<SignalNotify> sig1_;
-    std::unique_ptr<SignalNotify> sig2_;
 };
 
 } // namespace cellbw::spe

@@ -7,11 +7,6 @@
 namespace cellbw::stats
 {
 
-Histogram::Histogram(unsigned upperBound)
-    : buckets_(static_cast<std::size_t>(upperBound) + 1)
-{
-}
-
 void
 Histogram::add(std::uint64_t sample)
 {
@@ -23,28 +18,43 @@ Histogram::addBucket(std::uint64_t bucket, std::uint64_t count)
 {
     if (count == 0)
         return;
-    std::size_t i = bucket < buckets_.size()
-                        ? static_cast<std::size_t>(bucket)
-                        : buckets_.size() - 1;
-    buckets_[i].fetch_add(count, std::memory_order_relaxed);
-    count_.fetch_add(count, std::memory_order_relaxed);
-    sum_.fetch_add(bucket * count, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Only a non-empty bucket grows the vector, so its last bucket is
+    // the largest sample's.
+    if (bucket >= buckets_.size())
+        buckets_.resize(static_cast<std::size_t>(bucket) + 1, 0);
+    buckets_[bucket] += count;
+    count_ += count;
+    sum_ += bucket * count;
+}
+
+std::uint64_t
+Histogram::count() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return count_;
+}
+
+std::uint64_t
+Histogram::sum() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sum_;
 }
 
 double
 Histogram::mean() const
 {
-    auto n = count();
-    return n ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
+                  : 0.0;
 }
 
-unsigned
-Histogram::maxBucket() const
+std::vector<std::uint64_t>
+Histogram::buckets() const
 {
-    for (std::size_t i = buckets_.size(); i-- > 0;)
-        if (buckets_[i].load(std::memory_order_relaxed))
-            return static_cast<unsigned>(i);
-    return 0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return buckets_;
 }
 
 const char *
@@ -96,14 +106,14 @@ MetricsRegistry::gauge(const std::string &name)
 }
 
 Histogram &
-MetricsRegistry::histogram(const std::string &name, unsigned upperBound)
+MetricsRegistry::histogram(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(name);
     if (it == entries_.end()) {
         Entry e;
         e.kind = Kind::Histogram;
-        e.histogram = std::make_unique<Histogram>(upperBound);
+        e.histogram = std::make_unique<Histogram>();
         it = entries_.emplace(name, std::move(e)).first;
     } else if (it->second.kind != Kind::Histogram) {
         sim::fatal("metric '%s' already registered as a %s, not a "
@@ -190,9 +200,8 @@ MetricsRegistry::writeJson(JsonWriter &w) const
             w.key("sum").value(h.sum());
             w.key("mean").value(h.mean());
             w.key("buckets").beginArray();
-            unsigned last = h.maxBucket();
-            for (unsigned i = 0; i <= last; ++i)
-                w.value(h.bucket(i));
+            for (std::uint64_t b : h.buckets())
+                w.value(b);
             w.endArray();
             w.endObject();
             break;

@@ -17,10 +17,9 @@
  *               registry; addition is commutative, so the totals are
  *               deterministic regardless of thread interleaving.
  *  - Gauge:     a last-write-wins double (a rate, a fraction).
- *  - Histogram: fixed integer buckets 0..upperBound (the last bucket
- *               absorbs larger samples) plus exact count/sum —
- *               integer arithmetic only, so merged histograms are also
- *               order-independent.
+ *  - Histogram: one integer bucket per value, grown to the largest
+ *               sample, plus exact count/sum — integer arithmetic
+ *               only, so merged histograms are also order-independent.
  *
  * Registration is idempotent: asking for an existing name of the same
  * kind returns the same metric (that is how N runs accumulate);
@@ -75,48 +74,31 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Fixed-bucket integer histogram: one bucket per value 0..upperBound,
- *  the last bucket also absorbing anything larger. */
+/** Integer histogram with one bucket per value 0..largest sample.  The
+ *  buckets grow with the samples, so the shape never depends on which
+ *  of several merging runs registered the histogram first.  Samples
+ *  are small counts (queue depths): each value up to the largest costs
+ *  a bucket. */
 class Histogram
 {
   public:
-    explicit Histogram(unsigned upperBound);
-
     void add(std::uint64_t sample);
 
     /** Merge a pre-binned bucket: @p count samples of value @p bucket. */
     void addBucket(std::uint64_t bucket, std::uint64_t count);
 
-    std::uint64_t count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t sum() const
-    {
-        return sum_.load(std::memory_order_relaxed);
-    }
-
+    std::uint64_t count() const;
+    std::uint64_t sum() const;
     double mean() const;
 
-    /** Largest sample value distinguishable (last bucket's floor). */
-    unsigned upperBound() const
-    {
-        return static_cast<unsigned>(buckets_.size() - 1);
-    }
-
-    std::uint64_t bucket(unsigned i) const
-    {
-        return buckets_[i].load(std::memory_order_relaxed);
-    }
-
-    /** Highest non-empty bucket index (0 when empty). */
-    unsigned maxBucket() const;
+    /** Bucket 0 through the largest sample's bucket ({0} when empty). */
+    std::vector<std::uint64_t> buckets() const;
 
   private:
-    std::vector<std::atomic<std::uint64_t>> buckets_;
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_{0};
+    mutable std::mutex mutex_;
+    std::vector<std::uint64_t> buckets_ = {0};
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
 };
 
 class MetricsRegistry
@@ -132,7 +114,7 @@ class MetricsRegistry
     /** @{ */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name, unsigned upperBound);
+    Histogram &histogram(const std::string &name);
     /** @} */
 
     /** Lookup without creating; nullptr when absent or a different

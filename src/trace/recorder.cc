@@ -110,7 +110,6 @@ Recorder::chromeTrace(double nsPerTick) const
         w.key("bytes").value(r.bytes);
         w.key("queued_ticks").value(static_cast<std::uint64_t>(
             r.issued - r.enqueued));
-        w.key("proxy").value(r.isProxy);
         w.key("fault").value(spe::toString(r.fault));
         w.endObject();
         w.endObject();

@@ -39,7 +39,6 @@ struct DmaRecord
     unsigned tag;
     std::uint32_t bytes;
     bool isList;
-    bool isProxy;
     /** Fault the command completed with (None for a clean transfer). */
     spe::MfcError fault = spe::MfcError::None;
 };

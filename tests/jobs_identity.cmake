@@ -2,7 +2,8 @@
 # reports are byte-identical for any --jobs value.  cluster_halo runs
 # its whole batch of runs serially (--jobs 1) and on four workers
 # (--jobs 4, four live systems of up to eight chips) to the same bytes,
-# and one experiment of each single-chip batch shape does too.
+# and one experiment of each single-chip batch shape does too, as does
+# abl_queue_depth at --jobs 1 and 8.
 # `cellbw run` never attaches the result cache, so every invocation
 # below is a live simulation, not a replay.
 #
@@ -62,5 +63,15 @@ foreach(exp fig13_couples_dist rand_gups tab01_peaks kernels_roofline
     endforeach()
     expect_identical(${exp}_j1.json ${exp}_j4.json "${exp}")
 endforeach()
+
+# --- one registry, many queue depths ---------------------------------
+# abl_queue_depth merges MFCs of depth 1-32 into one queue_depth
+# histogram; its buckets once depended on which run snapshot first.
+foreach(jobs 1 8)
+    run_quiet(run abl_queue_depth --quick --runs 1 --jobs ${jobs}
+              --json queue_depth_j${jobs}.json)
+endforeach()
+expect_identical(queue_depth_j1.json queue_depth_j8.json
+                 "abl_queue_depth")
 
 message(STATUS "--jobs is byte-invisible in reports")

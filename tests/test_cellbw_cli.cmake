@@ -174,6 +174,24 @@ if(NOT nan_rc EQUAL 1 OR NOT nan_err MATCHES "bad value for --cpu-ghz")
     message(FATAL_ERROR "run --cpu-ghz nan: rc=${nan_rc}\n${nan_err}")
 endif()
 
+# MFC sizes are checked at parse time: a depth past 2^32 - 6 once
+# wrapped the command arena to two slots and crashed (SIGSEGV), and a
+# zero window failed mid-run after the header.
+run_cellbw(bigdepth 1 run fig10_sync_sweep --quick --runs 1
+           --mfc-queue-depth 4294967290)
+if(NOT bigdepth_err MATCHES "--mfc-queue-depth must be 1\\.\\.1024" OR
+   NOT bigdepth_out STREQUAL "")
+    message(FATAL_ERROR "run --mfc-queue-depth 4294967290: stdout:\n"
+                        "${bigdepth_out}\nstderr:\n${bigdepth_err}")
+endif()
+run_cellbw(notokens 1 run fig10_sync_sweep --quick --runs 1
+           --mfc-mem-tokens 0)
+if(NOT notokens_err MATCHES "--mfc-mem-tokens must be positive" OR
+   NOT notokens_out STREQUAL "")
+    message(FATAL_ERROR "run --mfc-mem-tokens 0: stdout:\n"
+                        "${notokens_out}\nstderr:\n${notokens_err}")
+endif()
+
 # An error the experiment throws mid-run exits 1 with its message, not
 # SIGABRT from an uncaught exception.
 run_cellbw(norings 1 run fig08_spe_mem --quick --rings 0)

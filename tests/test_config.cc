@@ -96,14 +96,21 @@ TEST(CellConfig, BadValuesAreFatal)
           "--eib-cmd-latency=18446744073709551615",
           "--dma-elem-overhead=4294967296",
           "--dma-list-elem-overhead=4294967296", "--bank0-share=1.5",
-          "--bank0-share=-0.1"}) {
+          "--bank0-share=-0.1", "--mfc-queue-depth=0",
+          "--mfc-queue-depth=1025", "--mfc-queue-depth=4294967290",
+          "--mfc-mem-tokens=0", "--mfc-ls-lines=0"}) {
         EXPECT_THROW(parse({bad}), sim::FatalError) << bad;
     }
     // The edges of each range are fine.
     auto edges = parse({"--ioif-latency=0", "--eib-cmd-latency=4294967295",
-                        "--bank0-share=1"});
+                        "--bank0-share=1", "--mfc-queue-depth=1024",
+                        "--mfc-mem-tokens=1", "--mfc-ls-lines=1"});
     EXPECT_EQ(edges.memory.ioLink.crossingLatency, 0u);
     EXPECT_EQ(edges.eib.cmdLatencyBus, 4294967295u);
+    EXPECT_EQ(edges.spe.mfc.queueDepth, spe::maxQueueDepth);
+    EXPECT_EQ(edges.spe.mfc.memoryTokens, 1u);
+    EXPECT_EQ(edges.spe.mfc.lsLines, 1u);
+    EXPECT_EQ(parse({"--mfc-queue-depth=1"}).spe.mfc.queueDepth, 1u);
     // Two chips raise the SPE ceiling.
     auto cfg = parse({"--chips=2", "--spes=16"});
     EXPECT_EQ(cfg.numSpes, 16u);

@@ -98,7 +98,7 @@ TEST(Metrics, CrossKindCollisionIsFatal)
     stats::MetricsRegistry reg;
     reg.counter("mem.bank0.bytes");
     EXPECT_THROW(reg.gauge("mem.bank0.bytes"), sim::FatalError);
-    EXPECT_THROW(reg.histogram("mem.bank0.bytes", 8), sim::FatalError);
+    EXPECT_THROW(reg.histogram("mem.bank0.bytes"), sim::FatalError);
     reg.gauge("rate");
     EXPECT_THROW(reg.counter("rate"), sim::FatalError);
 }
@@ -114,20 +114,25 @@ TEST(Metrics, FindDoesNotCreate)
     EXPECT_EQ(reg.findGauge("c"), nullptr);  // wrong kind
 }
 
-TEST(Metrics, HistogramBucketsAndOverflow)
+TEST(Metrics, HistogramGrowsToItsLargestSample)
 {
-    stats::Histogram h(4);
+    stats::Histogram h;
+    EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{0}));
     h.add(0);
     h.add(2);
     h.add(2);
-    h.add(100);  // absorbed by the last bucket
+    EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{1, 0, 2}));
+    h.add(12);  // grows the buckets; nothing is clamped
     EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 104u);
-    EXPECT_EQ(h.bucket(2), 2u);
-    EXPECT_EQ(h.bucket(4), 1u);
-    EXPECT_EQ(h.maxBucket(), 4u);
+    EXPECT_EQ(h.sum(), 16u);
+    auto b = h.buckets();
+    ASSERT_EQ(b.size(), 13u);
+    EXPECT_EQ(b[12], 1u);
     h.addBucket(1, 5);
-    EXPECT_EQ(h.bucket(1), 5u);
+    h.addBucket(40, 0);  // an empty bucket does not grow the shape
+    b = h.buckets();
+    EXPECT_EQ(b.size(), 13u);
+    EXPECT_EQ(b[1], 5u);
     EXPECT_EQ(h.count(), 9u);
 }
 
@@ -136,7 +141,7 @@ TEST(Metrics, WriteJsonIsSortedAndTyped)
     stats::MetricsRegistry reg;
     reg.counter("b.count").add(2);
     reg.gauge("a.rate").set(1.5);
-    reg.histogram("c.depth", 4).add(3);
+    reg.histogram("c.depth").add(3);
     stats::JsonWriter w;
     reg.writeJson(w);
     EXPECT_EQ(w.str(),
@@ -158,7 +163,7 @@ TEST(Metrics, ConcurrentAddsAndRegistrationsAreExact)
         pool.emplace_back([&reg] {
             for (unsigned i = 0; i < iters; ++i) {
                 reg.counter("shared.count").increment();
-                reg.histogram("shared.depth", 16).add(i % 20);
+                reg.histogram("shared.depth").add(i % 20);
                 reg.counter("bytes").add(128);
             }
         });
@@ -169,8 +174,12 @@ TEST(Metrics, ConcurrentAddsAndRegistrationsAreExact)
               std::uint64_t{threads} * iters);
     EXPECT_EQ(reg.findCounter("bytes")->value(),
               std::uint64_t{threads} * iters * 128);
-    EXPECT_EQ(reg.findHistogram("shared.depth")->count(),
-              std::uint64_t{threads} * iters);
+    const stats::Histogram *depth = reg.findHistogram("shared.depth");
+    EXPECT_EQ(depth->count(), std::uint64_t{threads} * iters);
+    auto buckets = depth->buckets();
+    ASSERT_EQ(buckets.size(), 20u);
+    for (std::uint64_t b : buckets)
+        EXPECT_EQ(b, std::uint64_t{threads} * iters / 20);
 }
 
 // --------------------------------------------------------------------

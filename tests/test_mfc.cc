@@ -8,6 +8,8 @@
 #include "sim/clock.hh"
 #include "sim/task.hh"
 #include "spe/mfc.hh"
+#include "stats/json_writer.hh"
+#include "stats/metrics.hh"
 
 using namespace cellbw;
 using spe::DmaDir;
@@ -492,20 +494,72 @@ TEST_F(MfcFixture, FaultSequenceIsSeedReproducible)
     EXPECT_TRUE(std::count(a.begin(), a.end(), false) > 0);
 }
 
+TEST_F(MfcFixture, PlainCommandsOfOneTagMayOverlap)
+{
+    // Two commands of one tag group: the second's line leaves before
+    // the first's completes.
+    router.delay = 100;
+    auto mfc = make();
+    mfc->get(0, 0x1000, 128, 0);
+    mfc->get(128, 0x2000, 128, 0);
+    eq.run();
+    ASSERT_EQ(router.lines.size(), 2u);
+    EXPECT_EQ(router.maxInFlight, 2u);
+}
+
 TEST_F(MfcFixture, IssueOverheadSerializesCommands)
 {
+    // Three commands on three tag groups pass the serial issue engine
+    // back to back in arrival order: one line every 100 bus cycles
+    // (200 ticks), the first after one full occupancy.
     params.elemOverheadBus = 100;   // enormous, to dominate
-    router.delay = 1;
     auto mfc = make();
-    mfc->get(0, 0x10000, 128, 0);
-    mfc->get(128, 0x20000, 128, 0);
-    Tick done_at = 0;
-    sim::Task w = waitTags(*mfc, 1u << 0, &done_at, eq);
-    w.start();
+    std::vector<std::pair<EffAddr, Tick>> seen;
+    mfc->setLineHandler([&](spe::LineRequest &&req) {
+        seen.emplace_back(req.ea, eq.now());
+        eq.schedule(1, std::move(req.done));
+    });
+    mfc->get(0, 0x30000, 128, 2);
+    mfc->get(128, 0x10000, 128, 0);
+    mfc->get(256, 0x20000, 128, 1);
     eq.run();
-    // Two commands pass the serial issue engine back-to-back:
-    // >= 2 x 100 bus cycles = 400 ticks.
-    EXPECT_GE(done_at, 400u);
+    const std::vector<std::pair<EffAddr, Tick>> expected = {
+        {0x30000, 200}, {0x10000, 400}, {0x20000, 600}};
+    EXPECT_EQ(seen, expected);
+}
+
+TEST_F(MfcFixture, QueueDepthHistogramDoesNotDependOnMergeOrder)
+{
+    // A shallow and a deep MFC merge their queue-depth histograms into
+    // one registry name, as the runs of a queue-depth sweep do.  The
+    // merged shape must not depend on which registers first.
+    auto fill = [&](unsigned depth, unsigned commands) {
+        params.queueDepth = depth;
+        auto mfc = make();
+        for (unsigned i = 0; i < commands; ++i)
+            mfc->get(static_cast<LsAddr>(i * 128),
+                     0x10000u + static_cast<EffAddr>(i) * 128, 128, 0);
+        eq.run();
+        return mfc;
+    };
+    auto shallow = fill(1, 1);
+    auto deep = fill(32, 20);   // depths 1..20, deeper than 9
+
+    auto merged = [&](const spe::Mfc &first, const spe::Mfc &second) {
+        stats::MetricsRegistry reg;
+        first.registerMetrics(reg, "spe0.mfc");
+        second.registerMetrics(reg, "spe0.mfc");
+        stats::JsonWriter w;
+        reg.writeJson(w);
+        return w.str();
+    };
+    const std::string a = merged(*shallow, *deep);
+    EXPECT_EQ(a, merged(*deep, *shallow));
+    EXPECT_NE(a.find("\"count\":21,\"sum\":211,"), std::string::npos) << a;
+    EXPECT_NE(a.find("\"buckets\":[0,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,"
+                     "1,1]"),
+              std::string::npos)
+        << a;
 }
 
 TEST_F(MfcFixture, NoHandlerIsFatal)

@@ -160,91 +160,6 @@ TEST_F(MsgFixture, BidirectionalExchangeDoesNotDeadlock)
     EXPECT_EQ(sys->spe(1).ls().byteAt(rx_b), 0xA0);
 }
 
-TEST_F(MsgFixture, BarrierSynchronizesAllRanks)
-{
-    auto sys = makeSys();
-    msg::Communicator comm(*sys, 4);
-    std::vector<Tick> left(4, 0);
-
-    auto node = [&](unsigned r) -> sim::Task {
-        // Stagger arrivals.
-        co_await sim::Delay{sys->eventQueue(), 1000 * (r + 1)};
-        co_await comm.barrier(r);
-        left[r] = sys->now();
-    };
-    for (unsigned r = 0; r < 4; ++r)
-        sys->launch(node(r));
-    sys->run();
-    // Nobody leaves before the last arrival (tick 4000).
-    for (unsigned r = 0; r < 4; ++r)
-        EXPECT_GE(left[r], 4000u);
-    // And all leave together (within the notify latency window).
-    Tick lo = *std::min_element(left.begin(), left.end());
-    Tick hi = *std::max_element(left.begin(), left.end());
-    EXPECT_LE(hi - lo, 1u);
-}
-
-TEST_F(MsgFixture, BarrierIsReusable)
-{
-    auto sys = makeSys();
-    msg::Communicator comm(*sys, 2);
-    int phase_err = 0;
-    int at_phase[2] = {0, 0};
-
-    auto node = [&](unsigned r) -> sim::Task {
-        for (int ph = 0; ph < 3; ++ph) {
-            at_phase[r] = ph;
-            co_await comm.barrier(r);
-            if (at_phase[1 - r] < ph)
-                ++phase_err;
-        }
-    };
-    sys->launch(node(0));
-    sys->launch(node(1));
-    sys->run();
-    EXPECT_EQ(phase_err, 0);
-}
-
-class AllreduceRanks : public ::testing::TestWithParam<unsigned>
-{
-};
-
-TEST_P(AllreduceRanks, EveryRankGetsTheSum)
-{
-    cell::CellConfig cfg;
-    cell::CellSystem sys(cfg, 3);
-    const unsigned ranks = GetParam();
-    msg::Communicator comm(sys, ranks);
-    const std::uint32_t elems = 1024;
-
-    std::vector<LsAddr> bufs(ranks);
-    for (unsigned r = 0; r < ranks; ++r) {
-        bufs[r] = sys.spe(r).lsAlloc(elems * 4, 16);
-        std::vector<float> v(elems);
-        for (std::uint32_t i = 0; i < elems; ++i)
-            v[i] = static_cast<float>(r + 1) + 0.25f * (i % 3);
-        sys.spe(r).ls().write(bufs[r], v.data(), elems * 4);
-    }
-
-    for (unsigned r = 0; r < ranks; ++r)
-        sys.launch(comm.allreduceSum(r, bufs[r], elems));
-    sys.run();
-
-    for (unsigned r = 0; r < ranks; ++r) {
-        std::vector<float> v(elems);
-        sys.spe(r).ls().read(bufs[r], v.data(), elems * 4);
-        for (std::uint32_t i = 0; i < elems; i += 97) {
-            float expect = 0.0f;
-            for (unsigned k = 0; k < ranks; ++k)
-                expect += static_cast<float>(k + 1) + 0.25f * (i % 3);
-            EXPECT_NEAR(v[i], expect, 1e-4) << "rank " << r;
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Rings, AllreduceRanks,
-                         ::testing::Values(2u, 3u, 4u, 8u));
-
 TEST_F(MsgFixture, ApiMisuseIsFatal)
 {
     auto sys = makeSys();

@@ -561,6 +561,12 @@ TEST(Serve, RejectsBadRequests)
                    "{\"experiment\":\"serve_test_exp\","
                    "\"args\":[\"--ioif-latency\",\"-40\"]}").status,
               400);
+    // A wrapping MFC queue depth once crashed the process.
+    EXPECT_EQ(post(fx.port(), "/run",
+                   "{\"experiment\":\"serve_test_exp\","
+                   "\"args\":[\"--mfc-queue-depth\",\"4294967290\"]}")
+                  .status,
+              400);
     auto raw = httpRoundTrip(fx.port(), "garbage\r\n\r\n");
     EXPECT_EQ(raw.status, 400);
 }

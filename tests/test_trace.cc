@@ -14,7 +14,7 @@ using namespace cellbw;
 TEST(Recorder, StoresAndClearsRecords)
 {
     trace::Recorder rec;
-    rec.dma({10, 20, 100, 0, spe::DmaDir::Get, 3, 1024, false, false});
+    rec.dma({10, 20, 100, 0, spe::DmaDir::Get, 3, 1024, false});
     rec.eib({10, 15, 40, 0, 2, 11, 10, 128});
     EXPECT_EQ(rec.dmaRecords().size(), 1u);
     EXPECT_EQ(rec.eibRecords().size(), 1u);
@@ -26,8 +26,8 @@ TEST(Recorder, StoresAndClearsRecords)
 TEST(Recorder, TimelineShowsLanesAndMarks)
 {
     trace::Recorder rec;
-    rec.dma({0, 10, 500, 0, spe::DmaDir::Get, 0, 1024, false, false});
-    rec.dma({100, 150, 900, 1, spe::DmaDir::Put, 1, 1024, false, false});
+    rec.dma({0, 10, 500, 0, spe::DmaDir::Get, 0, 1024, false});
+    rec.dma({100, 150, 900, 1, spe::DmaDir::Put, 1, 1024, false});
     std::string tl = rec.renderDmaTimeline(40);
     EXPECT_NE(tl.find("spe0"), std::string::npos);
     EXPECT_NE(tl.find("spe1"), std::string::npos);
@@ -100,7 +100,7 @@ TEST(Recorder, TimelineSurvivesDegenerateWidths)
     // Regression: width < 2 used to divide by zero / index past the
     // lane buffer.  Any requested width must render.
     trace::Recorder rec;
-    rec.dma({0, 10, 500, 0, spe::DmaDir::Get, 0, 1024, false, false});
+    rec.dma({0, 10, 500, 0, spe::DmaDir::Get, 0, 1024, false});
     for (int w : {0, 1, -5, 2}) {
         std::string tl = rec.renderDmaTimeline(w);
         EXPECT_NE(tl.find("spe0"), std::string::npos) << "width " << w;
@@ -112,8 +112,7 @@ TEST(Recorder, CapacityBoundsBuffersAndCountsDrops)
     trace::Recorder rec;
     rec.setCapacity(4);
     for (Tick t = 0; t < 20; ++t) {
-        rec.dma({t, t + 1, t + 2, 0, spe::DmaDir::Get, 0, 128, false,
-                 false});
+        rec.dma({t, t + 1, t + 2, 0, spe::DmaDir::Get, 0, 128, false});
         rec.eib({t, t + 1, t + 2, 0, 0, 1, 2, 128});
     }
     // Amortized eviction: never more than twice the capacity retained.
@@ -139,8 +138,7 @@ TEST(Recorder, UnboundedByDefault)
 {
     trace::Recorder rec;
     for (Tick t = 0; t < 1000; ++t)
-        rec.dma({t, t, t + 1, 0, spe::DmaDir::Get, 0, 128, false,
-                 false});
+        rec.dma({t, t, t + 1, 0, spe::DmaDir::Get, 0, 128, false});
     EXPECT_EQ(rec.dmaRecords().size(), 1000u);
     EXPECT_EQ(rec.dmaDropped(), 0u);
 }
@@ -249,8 +247,8 @@ countOf(const std::string &s, const std::string &needle)
 TEST(Recorder, ChromeTraceIsValidJsonWithPairedEvents)
 {
     trace::Recorder rec;
-    rec.dma({0, 10, 500, 0, spe::DmaDir::Get, 2, 1024, false, false});
-    rec.dma({5, 60, 700, 1, spe::DmaDir::Put, 3, 2048, true, true});
+    rec.dma({0, 10, 500, 0, spe::DmaDir::Get, 2, 1024, false});
+    rec.dma({5, 60, 700, 1, spe::DmaDir::Put, 3, 2048, true});
     rec.eib({1, 2, 9, 0, 1, 4, 7, 128});
     std::string json = rec.chromeTrace(1.0);
 
@@ -286,8 +284,7 @@ TEST(Recorder, ChromeTraceReportsDrops)
     trace::Recorder rec;
     rec.setCapacity(1);
     for (Tick t = 0; t < 5; ++t)
-        rec.dma({t, t, t + 1, 0, spe::DmaDir::Get, 0, 128, false,
-                 false});
+        rec.dma({t, t, t + 1, 0, spe::DmaDir::Get, 0, 128, false});
     std::string json = rec.chromeTrace(1.0);
     EXPECT_TRUE(isValidJson(json)) << json;
     EXPECT_NE(json.find("\"dropped\""), std::string::npos);
