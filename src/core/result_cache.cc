@@ -7,7 +7,6 @@
 
 #include "core/json_report.hh"
 #include "util/file.hh"
-#include "util/json.hh"
 #include "util/strings.hh"
 
 namespace cellbw::core
@@ -38,6 +37,15 @@ canonicalDouble(const std::string &text)
     auto res = std::to_chars(buf, buf + sizeof(buf), v,
                              std::chars_format::general, 17);
     return std::string(buf, res.ptr);
+}
+
+/** The .key store() writes: @p material, then one integrity line with
+ *  @p report's size and hash. */
+std::string
+keyFileFor(const std::string &material, const std::string &report)
+{
+    return material + util::format("report %zu %s\n", report.size(),
+                                   ResultCache::hashKey(report).c_str());
 }
 
 } // namespace
@@ -123,36 +131,24 @@ ResultCache::lockRoot(util::FileLock &lock) const
     return lock.lock(lockPath());
 }
 
-bool
-ResultCache::validReport(const std::string &report)
-{
-    util::JsonValue doc;
-    std::string err;
-    if (!util::JsonValue::parse(report, doc, err))
-        return false;
-    const util::JsonValue *schema = doc.find("schema");
-    return schema && schema->isString() &&
-           schema->str() == JsonReport::kSchema;
-}
-
 std::optional<std::string>
 ResultCache::load(const std::string &key,
                   const std::string &material) const
 {
     const std::string base = dirFor(key) + "/" + key;
-    std::string storedMaterial;
-    if (!util::readFile(base + ".key", storedMaterial))
-        return std::nullopt;
-    if (storedMaterial != material)
+    std::string stored;
+    if (!util::readFile(base + ".key", stored) ||
+        stored.compare(0, material.size(), material) != 0)
         return std::nullopt;
     std::string report;
-    bool haveBytes = util::readFile(base + ".json", report);
-    // A torn write or on-disk corruption can leave a valid .key next
-    // to missing or damaged report bytes; replaying those would poison
-    // the output tree.  Sanity-parse the stored document and treat
-    // anything that is not a report of our schema as a miss — and
-    // repair the entry so every later reader agrees it is a miss.
-    if (!haveBytes || !validReport(report)) {
+    // A torn write or on-disk corruption can leave a .key next to
+    // missing or damaged report bytes; replaying those would poison
+    // the output tree.  The .key's integrity line names the report's
+    // size and hash, so any changed byte, a truncated report or a .key
+    // without that line is a miss — and the entry is repaired so every
+    // later reader agrees it is a miss.
+    if (!util::readFile(base + ".json", report) ||
+        stored != keyFileFor(material, report)) {
         recoverTornEntry(base, material);
         return std::nullopt;
     }
@@ -172,12 +168,13 @@ ResultCache::recoverTornEntry(const std::string &base,
     // right now, in which case it is not torn and must be left alone.
     util::FileLock lock;
     lockRoot(lock);         // best effort; removal is safe regardless
-    std::string storedMaterial;
-    if (!util::readFile(base + ".key", storedMaterial) ||
-        storedMaterial != material)
+    std::string stored;
+    if (!util::readFile(base + ".key", stored) ||
+        stored.compare(0, material.size(), material) != 0)
         return;             // already repaired or replaced
     std::string report;
-    if (util::readFile(base + ".json", report) && validReport(report))
+    if (util::readFile(base + ".json", report) &&
+        stored == keyFileFor(material, report))
         return;             // a writer completed it; entry is whole
     // Key first: a half-removed entry must look like a miss, never
     // like a valid entry with missing bytes.
@@ -205,7 +202,8 @@ ResultCache::store(const std::string &key, const std::string &material,
     // once its .key file exists, and by then the .json is complete.
     if (!util::writeFileAtomic(base + ".json", reportBytes))
         return false;
-    return util::writeFileAtomic(base + ".key", material);
+    return util::writeFileAtomic(base + ".key",
+                                 keyFileFor(material, reportBytes));
 }
 
 ResultCache::PruneStats

@@ -13,11 +13,14 @@
  * Layout under the root (default `.cellbw-cache/`):
  *
  *   <root>/<k[0..1]>/<key>.json   the report, byte-exact
- *   <root>/<k[0..1]>/<key>.key    the key material, for validation
+ *   <root>/<k[0..1]>/<key>.key    the key material, then one integrity
+ *                                 line: `report <bytes> <hash>`
  *
- * The material file makes hits self-validating: load() re-checks the
- * stored material against the request, so a (vanishingly unlikely)
- * hash collision or a corrupted entry degrades to a miss, never to a
+ * The .key file makes hits self-validating without parsing the report:
+ * load() re-checks the stored material against the request and the
+ * report's size and hashKey() against the integrity line, so a
+ * (vanishingly unlikely) hash collision, any changed byte, a truncated
+ * report or a .key without the line degrades to a miss, never to a
  * wrong result.
  *
  * Invalidation is by salt: salt() names the result-affecting code
@@ -74,15 +77,17 @@ class ResultCache
     /**
      * The stored report bytes for @p key, or nullopt on miss.  The
      * stored material must equal @p material or the entry is treated
-     * as a miss (collision/corruption guard).  A torn entry (valid
-     * .key, missing/corrupt .json) is removed under the writer lock so
-     * the whole pair reads as a clean miss everywhere, then reruns.
+     * as a miss (collision guard).  A damaged entry (the .json missing
+     * or not matching the .key's integrity line) is removed under the
+     * writer lock so the whole pair reads as a clean miss everywhere,
+     * then reruns.
      */
     std::optional<std::string> load(const std::string &key,
                                     const std::string &material) const;
 
     /**
-     * Store @p reportBytes under @p key; false on I/O failure.  Holds
+     * Store @p reportBytes under @p key, with @p material and the
+     * report's integrity line in the .key; false on I/O failure.  Holds
      * the cross-process advisory lock (`<root>/.lock`) while writing
      * so parallel writers and prune() serialize; the write itself is
      * temp-file + rename, so even unlocked readers never see a torn
@@ -110,9 +115,6 @@ class ResultCache
      */
     PruneStats prune(std::uint64_t maxBytes) const;
 
-    /** True iff @p report parses as a document of our schema. */
-    static bool validReport(const std::string &report);
-
   private:
     std::string dirFor(const std::string &key) const;
     std::string lockPath() const;
@@ -121,7 +123,8 @@ class ResultCache
      *  unlocked (best effort). */
     bool lockRoot(util::FileLock &lock) const;
 
-    /** Remove a torn (.key without valid .json) entry under the lock. */
+    /** Remove a damaged (.key without matching .json) entry under the
+     *  lock. */
     void recoverTornEntry(const std::string &base,
                           const std::string &material) const;
 

@@ -6,7 +6,6 @@
 
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <unistd.h>
 
 #include "serve/server.hh"
 #include "util/strings.hh"
@@ -156,7 +155,7 @@ void
 serveConnection(int fd, const std::string &peer, Server &server,
                 std::chrono::milliseconds readDeadline)
 {
-    // A stalled, dead or trickling client must not pin this thread
+    // A stalled, dead or trickling client must not pin this worker
     // forever; runs themselves can take arbitrarily long, but *reading
     // the request* has one deadline, and each recv waits only for what
     // is left of it.
@@ -173,7 +172,6 @@ serveConnection(int fd, const std::string &peer, Server &server,
                 .count();
         if (leftUs <= 0) {
             sendError(fd, 408, "request not received in time");
-            ::close(fd);
             return;
         }
         struct timeval tv;
@@ -185,22 +183,18 @@ serveConnection(int fd, const std::string &peer, Server &server,
         if (n < 0 && (errno == EINTR || errno == EAGAIN ||
                       errno == EWOULDBLOCK))
             continue;       // the loop head answers a timeout
-        if (n <= 0) {
-            ::close(fd);    // EOF or error before a full request
-            return;
-        }
+        if (n <= 0)
+            return;         // EOF or error before a full request
         buf.append(chunk, static_cast<std::size_t>(n));
         const ParseStatus st = parseHttpRequest(buf, req, consumed);
         if (st == ParseStatus::NeedMore)
             continue;
         if (st == ParseStatus::Bad) {
             sendError(fd, 400, "malformed HTTP request");
-            ::close(fd);
             return;
         }
         if (st == ParseStatus::TooLarge) {
             sendError(fd, 413, "request too large");
-            ::close(fd);
             return;
         }
         break;              // Ok
@@ -208,7 +202,6 @@ serveConnection(int fd, const std::string &peer, Server &server,
 
     const HttpResponse resp = server.route(req, peer);
     writeAll(fd, renderHttpResponse(resp));
-    ::close(fd);
 }
 
 } // namespace cellbw::serve

@@ -1,14 +1,15 @@
 /**
  * @file
- * HTTP/1.1 wire handling for the serve daemon: one accepted socket,
- * one thread, a hand-rolled request parser and response writer.
+ * HTTP/1.1 wire handling for the serve daemon: one accepted socket on
+ * one connection worker, a hand-rolled request parser and response
+ * writer.
  *
  * The daemon speaks just enough HTTP for JSON tooling and `curl`:
  * request line + headers + optional Content-Length body in, status
  * line + headers + body out, `Connection: close` on every response
  * (one request per connection keeps the concurrency model trivial —
- * a connection thread's lifetime is one request's lifetime, and the
- * drain path only has to wait for threads, never for idle keep-alive
+ * a worker holds a socket for one request's lifetime, and the drain
+ * path only has to wait for workers, never for idle keep-alive
  * sockets).  Parsing is incremental over a byte buffer so it can be
  * unit-tested without sockets, with hard caps on header and body
  * size so a hostile client cannot balloon the daemon.
@@ -82,7 +83,7 @@ class Server;
 /**
  * Serve one accepted socket: read a request (bounded, within
  * @p readDeadline of the call, else answer 408), route it through
- * @p server, write the response, close.  Takes ownership of @p fd.
+ * @p server, write the response.  The caller closes @p fd.
  */
 void serveConnection(int fd, const std::string &peer, Server &server,
                      std::chrono::milliseconds readDeadline =

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -38,6 +39,23 @@ makeError(int status, const std::string &message)
     return resp;
 }
 
+/**
+ * Answer a socket no connection worker can take with 503 and close it.
+ * The send does not block, so a client that never reads cannot stall
+ * the accept loop; the small response fits any socket buffer.
+ */
+void
+rejectBusy(int fd)
+{
+    HttpResponse resp =
+        makeError(503, "busy: every connection worker is serving");
+    resp.headers = {{"Retry-After", "1"}};
+    const std::string wire = renderHttpResponse(resp);
+    [[maybe_unused]] ssize_t n = ::send(fd, wire.data(), wire.size(),
+                                        MSG_NOSIGNAL | MSG_DONTWAIT);
+    ::close(fd);
+}
+
 } // namespace
 
 Server::Server(ServeSpec spec)
@@ -55,16 +73,7 @@ Server::~Server()
             t.join();
     }
     pool_.shutdown();
-    std::map<std::uint64_t, std::thread> taken;
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        taken.swap(connections_);
-        finishedConnections_.clear();
-    }
-    for (auto &kv : taken) {
-        if (kv.second.joinable())
-            kv.second.join();
-    }
+    joinConnectionWorkers();
     if (listenFd_ >= 0)
         ::close(listenFd_);
     for (int fd : wakePipe_) {
@@ -166,16 +175,13 @@ Server::run()
 
     for (;;) {
         fds[0].revents = fds[1].revents = 0;
-        // The timeout bounds how stale the finished-connection reap
-        // can get; the wake pipe makes shutdown prompt regardless.
-        int rc = ::poll(fds, 2, 500);
+        int rc = ::poll(fds, 2, -1);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
             std::perror("cellbw serve: poll");
             break;
         }
-        reapConnections(false);
         if (fds[1].revents & POLLIN)
             break;          // signal or beginShutdown(): drain
         if (!(fds[0].revents & POLLIN))
@@ -189,7 +195,7 @@ Server::run()
             continue;
         char ip[INET_ADDRSTRLEN] = "?";
         ::inet_ntop(AF_INET, &peer.sin_addr, ip, sizeof(ip));
-        spawnConnection(fd, ip);
+        dispatchConnection(fd, ip);
     }
 
     beginShutdown();
@@ -200,14 +206,14 @@ Server::run()
 
     // Order matters: runners drain the queued jobs (clients blocked in
     // await() get their bytes), then the pool has no submitters left
-    // and can join, then every connection thread has a response written
+    // and can join, then every connection worker writes its responses
     // and exits.
     for (auto &t : runners_) {
         if (t.joinable())
             t.join();
     }
     pool_.shutdown();
-    reapConnections(true);
+    joinConnectionWorkers();
 
     std::printf("cellbw serve: drained; %llu runs, %llu cache hits, "
                 "%llu coalesced, %zu jobs\n",
@@ -223,43 +229,65 @@ Server::run()
 }
 
 void
-Server::spawnConnection(int fd, std::string peer)
+Server::dispatchConnection(int fd, std::string peer)
 {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    const std::uint64_t id = nextConnection_++;
-    connections_.emplace(
-        id, std::thread([this, fd, peer = std::move(peer), id] {
-            serveConnection(fd, peer, *this);
-            std::lock_guard<std::mutex> lk(connMutex_);
-            finishedConnections_.push_back(id);
-        }));
+    {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        if (idleWorkers_ == 0 &&
+            connWorkers_.size() < kMaxConnectionWorkers) {
+            try {
+                connWorkers_.emplace_back(
+                    [this] { connectionWorkerLoop(); });
+                ++idleWorkers_;
+            } catch (const std::system_error &) {
+                // No thread to be had: answer as at the cap.
+            }
+        }
+        if (idleWorkers_ > 0) {
+            --idleWorkers_;
+            accepted_.push_back({fd, std::move(peer)});
+            connReady_.notify_one();
+            return;
+        }
+    }
+    metrics_.counter("serve.rejected_busy").increment();
+    rejectBusy(fd);
 }
 
 void
-Server::reapConnections(bool all)
+Server::connectionWorkerLoop()
 {
-    std::vector<std::thread> done;
+    std::unique_lock<std::mutex> lock(connMutex_);
+    for (;;) {
+        connReady_.wait(lock, [this] {
+            return !accepted_.empty() || connClosing_;
+        });
+        if (accepted_.empty())
+            return;         // draining, and every handed-off socket served
+        Accepted conn = std::move(accepted_.front());
+        accepted_.pop_front();
+        lock.unlock();
+        serveConnection(conn.fd, conn.peer, *this);
+        lock.lock();
+        // Free before the close: a client that reads EOF and connects
+        // again finds this worker idle rather than starting another.
+        ++idleWorkers_;
+        ::close(conn.fd);
+    }
+}
+
+void
+Server::joinConnectionWorkers()
+{
+    std::vector<std::thread> workers;
     {
         std::lock_guard<std::mutex> lock(connMutex_);
-        if (all) {
-            for (auto &kv : connections_)
-                done.push_back(std::move(kv.second));
-            connections_.clear();
-        } else {
-            for (std::uint64_t id : finishedConnections_) {
-                auto it = connections_.find(id);
-                if (it == connections_.end())
-                    continue;
-                done.push_back(std::move(it->second));
-                connections_.erase(it);
-            }
-        }
-        finishedConnections_.clear();
+        connClosing_ = true;
+        workers.swap(connWorkers_);
     }
-    for (auto &t : done) {
-        if (t.joinable())
-            t.join();
-    }
+    connReady_.notify_all();
+    for (auto &t : workers)
+        t.join();
 }
 
 HttpResponse
@@ -344,6 +372,13 @@ Server::handleMetrics()
     metrics_.gauge("serve.jobs_total")
         .set(static_cast<double>(jobs_.size()));
     metrics_.gauge("serve.draining").set(draining() ? 1.0 : 0.0);
+    std::size_t workers;
+    {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        workers = connWorkers_.size();
+    }
+    metrics_.gauge("serve.connection_workers")
+        .set(static_cast<double>(workers));
     stats::JsonWriter w;
     metrics_.writeJson(w);
     HttpResponse resp;

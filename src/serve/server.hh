@@ -33,21 +33,28 @@
  *    (round-robin across client identities; see serve::FairQueue)
  *    onto a bounded set of runner threads that share one WorkerPool
  *    for their seed sweeps.
+ *  - Accepted sockets go to a set of connection workers that start
+ *    only when no worker is idle and are reused, up to
+ *    kMaxConnectionWorkers.  At the cap the accept loop itself answers
+ *    503 with `Retry-After: 1` and closes the socket, so silent or
+ *    slow clients cannot starve it.
  *  - `--cache-max-bytes` enforces the cache byte cap online: after
  *    every populating run the LRU prune() trims the cache under the
  *    cross-process advisory lock.
  *  - SIGTERM/SIGINT begin a graceful drain: new runs are rejected with
  *    503, queued and in-flight runs complete (waiting clients get
- *    their bytes), the worker pool is drained and joined, then the
- *    process exits 0.
+ *    their bytes), the worker pool is drained and joined, the
+ *    connection workers answer every socket they hold and are joined,
+ *    then the process exits 0.
  */
 
 #ifndef CELLBW_SERVE_SERVER_HH
 #define CELLBW_SERVE_SERVER_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -102,6 +109,9 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
+    /** Connection workers at most; past them a socket gets 503. */
+    static constexpr std::size_t kMaxConnectionWorkers = 64;
+
     /**
      * Bind, listen, start the runner threads.  @return false on
      * socket/filesystem errors (message on stderr).
@@ -113,7 +123,7 @@ class Server
 
     /**
      * Accept and serve until beginShutdown(), then drain: runner
-     * threads finish queued jobs, the pool joins, connection threads
+     * threads finish queued jobs, the pool joins, connection workers
      * complete.  @return the process exit code (0 on a clean drain).
      */
     int run();
@@ -139,7 +149,7 @@ class Server
 
     /**
      * Route one parsed request to a response.  Public so tests can
-     * exercise the API surface without sockets; connection threads
+     * exercise the API surface without sockets; connection workers
      * call it for every accepted request.  Blocks for
      * `{"wait": true}` runs.
      */
@@ -155,11 +165,17 @@ class Server
     HttpResponse handleExperiments() const;
     HttpResponse handleHealth() const;
 
-    /** Detach one accepted socket onto its own connection thread. */
-    void spawnConnection(int fd, std::string peer);
+    /**
+     * Hand one accepted socket to an idle connection worker, starting
+     * one if none is idle; at kMaxConnectionWorkers answer 503.
+     */
+    void dispatchConnection(int fd, std::string peer);
 
-    /** Join finished connection threads (@p all joins every one). */
-    void reapConnections(bool all);
+    /** Connection-worker body: serve handed-off sockets until drain. */
+    void connectionWorkerLoop();
+
+    /** Let the workers serve every handed-off socket, then join them. */
+    void joinConnectionWorkers();
 
     /** Runner-thread body: pop fairly, run jobs until closed. */
     void runnerLoop();
@@ -189,11 +205,21 @@ class Server
 
     std::vector<std::thread> runners_;
 
-    /** Live connection threads, reaped as they finish. */
+    /** A socket handed to the connection workers. */
+    struct Accepted
+    {
+        int fd = -1;
+        std::string peer;
+    };
+
+    /** The connection workers and the sockets handed to them. */
     std::mutex connMutex_;
-    std::map<std::uint64_t, std::thread> connections_;
-    std::vector<std::uint64_t> finishedConnections_;
-    std::uint64_t nextConnection_ = 0;
+    std::condition_variable connReady_;
+    std::deque<Accepted> accepted_;
+    /** Workers not serving a socket, less the sockets not yet taken. */
+    std::size_t idleWorkers_ = 0;
+    bool connClosing_ = false;
+    std::vector<std::thread> connWorkers_;
 };
 
 /**

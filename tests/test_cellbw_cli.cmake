@@ -102,6 +102,53 @@ if(NOT healed_out MATCHES "cache hits: 1/1")
     message(FATAL_ERROR "repaired entry did not hit:\n${healed_out}")
 endif()
 
+# --- 3a. A changed digit is a miss ----------------------------------
+# One digit of a cached number changed leaves a valid report of the
+# right schema and size, so only the entry's checksum can tell.
+file(WRITE "${WORKDIR}/tab01.manifest" "tab01_peaks\n")
+run_cellbw(digit_cold 0 suite tab01.manifest --quick --out digit_cold
+           --cache digitcache)
+file(GLOB_RECURSE entries "${WORKDIR}/digitcache/*.json")
+list(LENGTH entries n)
+if(NOT n EQUAL 1)
+    message(FATAL_ERROR "expected one tab01_peaks entry, found ${n}")
+endif()
+file(READ "${entries}" report)
+set(tag "\"sustained GB/s\":")
+string(FIND "${report}" "${tag}" at)
+string(LENGTH "${tag}" taglen)
+math(EXPR at "${at} + ${taglen}")
+string(SUBSTRING "${report}" ${at} 1 digit)
+if(NOT digit MATCHES "^[0-9]$")
+    message(FATAL_ERROR "no sustained GB/s value in:\n${report}")
+endif()
+math(EXPR flipped "(${digit} + 1) % 10")
+math(EXPR after "${at} + 1")
+string(SUBSTRING "${report}" 0 ${at} head)
+string(SUBSTRING "${report}" ${after} -1 tail)
+file(WRITE "${entries}" "${head}${flipped}${tail}")
+
+run_cellbw(digit_warm 0 suite tab01.manifest --quick --out digit_warm
+           --cache digitcache)
+if(NOT digit_warm_out MATCHES "cache hits: 0/1")
+    message(FATAL_ERROR
+            "changed digit was replayed as a hit:\n${digit_warm_out}")
+endif()
+# The rerun writes what the cold suite wrote, byte for byte, and every
+# value and metric that `cellbw run` writes (a suite report also names
+# its suite).
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${WORKDIR}/digit_cold/tab01_peaks.json"
+            "${WORKDIR}/digit_warm/tab01_peaks.json"
+    RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
+    message(FATAL_ERROR "rerun after a changed digit differs from cold")
+endif()
+run_cellbw(digit_want 0 run tab01_peaks --quick --json digit_want.json)
+run_cellbw(digit_same 0 compare digit_warm/tab01_peaks.json
+           digit_want.json --tol 0 --metrics)
+
 # --- 3b. cache prune ------------------------------------------------
 # A generous budget scans without evicting; the healed entry stays hot.
 run_cellbw(prune_noop 0 cache prune --max-bytes 1G --cache cache)

@@ -13,6 +13,7 @@
 #include "core/experiment_context.hh"
 #include "core/result_cache.hh"
 #include "stats/json_writer.hh"
+#include "util/file.hh"
 
 using namespace cellbw;
 
@@ -169,6 +170,53 @@ TEST(ResultCache, DamagedReportBytesAreAMiss)
     // Re-storing repairs the entry.
     ASSERT_TRUE(cache.store(key, material, report));
     EXPECT_TRUE(cache.load(key, material).has_value());
+
+    // One changed digit leaves a valid report of our schema with the
+    // same size, yet a wrong number: a miss, and the entry goes.
+    const std::string numbers =
+        "{\"schema\":\"cellbw-bench-v3\",\"points\":[{\"GB/s\":33.08}]}\n";
+    ASSERT_TRUE(cache.store(key, material, numbers));
+    ASSERT_TRUE(cache.load(key, material).has_value());
+    std::string changed = numbers;
+    changed[changed.find("33.08")] = '4';
+    std::ofstream(path, std::ios::trunc) << changed;
+    EXPECT_FALSE(cache.load(key, material).has_value());
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_FALSE(std::filesystem::exists(
+        root + "/" + key.substr(0, 2) + "/" + key + ".key"));
+}
+
+TEST(ResultCache, EntriesWithoutTheirIntegrityLineAreAMiss)
+{
+    const std::string root = tempRoot("integrity");
+    core::ResultCache cache(root);
+    const std::string material = "salt x\nexperiment e\n";
+    const std::string key = core::ResultCache::hashKey(material);
+    const std::string report =
+        "{\"schema\":\"cellbw-bench-v3\",\"bench\":\"e\"}\n";
+    const std::string base = root + "/" + key.substr(0, 2) + "/" + key;
+
+    // A .key holding only the material, as earlier versions wrote it,
+    // vouches for no report bytes: a miss, which store() then repairs.
+    ASSERT_TRUE(cache.store(key, material, report));
+    std::ofstream(base + ".key", std::ios::trunc) << material;
+    EXPECT_FALSE(cache.load(key, material).has_value());
+    ASSERT_TRUE(cache.store(key, material, report));
+    auto hit = cache.load(key, material);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, report);
+
+    // An integrity line naming the wrong byte count is a miss too, even
+    // with the right hash.
+    std::string stored;
+    ASSERT_TRUE(util::readFile(base + ".key", stored));
+    const std::string size = " " + std::to_string(report.size()) + " ";
+    const auto at = stored.rfind(size);
+    ASSERT_NE(at, std::string::npos) << stored;
+    stored.replace(at, size.size(),
+                   " " + std::to_string(report.size() + 1) + " ");
+    std::ofstream(base + ".key", std::ios::trunc) << stored;
+    EXPECT_FALSE(cache.load(key, material).has_value());
 }
 
 namespace

@@ -246,14 +246,13 @@ struct Response
     std::string body;
 };
 
-/** One-shot HTTP client: connect, send, read to EOF, parse. */
-Response
-httpRoundTrip(std::uint16_t port, const std::string &raw)
+/** A socket connected to the server on @p port, or -1. */
+int
+connectTo(std::uint16_t port)
 {
-    Response out;
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
-        return out;
+        return -1;
     sockaddr_in addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
@@ -262,8 +261,19 @@ httpRoundTrip(std::uint16_t port, const std::string &raw)
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         ::close(fd);
-        return out;
+        return -1;
     }
+    return fd;
+}
+
+/** One-shot HTTP client: connect, send, read to EOF, parse. */
+Response
+httpRoundTrip(std::uint16_t port, const std::string &raw)
+{
+    Response out;
+    int fd = connectTo(port);
+    if (fd < 0)
+        return out;
     std::size_t off = 0;
     while (off < raw.size()) {
         ssize_t n = ::send(fd, raw.data() + off, raw.size() - off, 0);
@@ -658,6 +668,7 @@ TEST(Serve, TricklingClientGets408AtTheRequestDeadline)
     std::thread conn([&] {
         serve::serveConnection(sv[0], "trickler", fx.server(),
                                std::chrono::milliseconds(300));
+        ::close(sv[0]);
     });
     std::atomic<bool> answered{false};
     std::thread trickle([&] {
@@ -681,6 +692,62 @@ TEST(Serve, TricklingClientGets408AtTheRequestDeadline)
     EXPECT_EQ(wire.rfind("HTTP/1.1 408 Request Timeout\r\n", 0), 0u)
         << wire;
     EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(Serve, SequentialRequestsReuseOneConnectionWorker)
+{
+    ServerFixture fx("reuse");
+    ASSERT_TRUE(fx.started());
+    for (int i = 0; i < 100; ++i)
+        ASSERT_EQ(get(fx.port(), "/healthz").status, 200) << i;
+    ASSERT_EQ(get(fx.port(), "/metrics").status, 200);
+    EXPECT_EQ(fx.server()
+                  .metrics()
+                  .gauge("serve.connection_workers")
+                  .value(),
+              1.0);
+}
+
+TEST(Serve, SilentClientsAtTheCapGet503WithRetryAfter)
+{
+    // Slowloris: every worker held by a client that never sends.  The
+    // accept loop must still answer the next connection itself, at
+    // once, and recover when the silent clients go.
+    ServerFixture fx("slowloris");
+    ASSERT_TRUE(fx.started());
+    std::vector<int> silent;
+    for (std::size_t i = 0; i < serve::Server::kMaxConnectionWorkers;
+         ++i) {
+        const int fd = connectTo(fx.port());
+        ASSERT_GE(fd, 0) << i;
+        silent.push_back(fd);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    auto busy = get(fx.port(), "/healthz");
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(busy.status, 503);
+    EXPECT_EQ(busy.headers["retry-after"], "1");
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+    EXPECT_EQ(get(fx.port(), "/healthz").status, 503);
+    EXPECT_EQ(fx.server().metrics().counter("serve.rejected_busy").value(),
+              2u);
+
+    for (int fd : silent)
+        ::close(fd);
+    // The workers see EOF and free themselves; poll until one answers.
+    Response health;
+    for (int i = 0; i < 200 && health.status != 200; ++i) {
+        health = get(fx.port(), "/healthz");
+        if (health.status != 200)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(health.status, 200);
+    get(fx.port(), "/metrics");
+    EXPECT_EQ(fx.server()
+                  .metrics()
+                  .gauge("serve.connection_workers")
+                  .value(),
+              double(serve::Server::kMaxConnectionWorkers));
 }
 
 TEST(Serve, DrainingRejectsNewRunsWith503)
