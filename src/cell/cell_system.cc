@@ -174,19 +174,6 @@ CellSystem::lsEa(unsigned logical, LsAddr lsa) const
     return lsEaBase + static_cast<EffAddr>(logical) * lsEaStride + lsa;
 }
 
-trace::Recorder &
-CellSystem::enableTracing()
-{
-    if (!recorder_) {
-        recorder_ = std::make_unique<trace::Recorder>();
-        for (auto &s : spes_)
-            s->mfc().setRecorder(recorder_.get());
-        for (unsigned c = 0; c < eibs_.size(); ++c)
-            eibs_[c]->setRecorder(recorder_.get(), c);
-    }
-    return *recorder_;
-}
-
 void
 CellSystem::launch(sim::Task task)
 {
@@ -539,10 +526,6 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
         reg.counter("verify.divergences").add(verifyStats_.divergences);
         reg.counter("verify.faulted_skipped")
             .add(verifyStats_.faultedSkipped);
-    }
-    if (recorder_) {
-        reg.counter("trace.dma_dropped").add(recorder_->dmaDropped());
-        reg.counter("trace.eib_dropped").add(recorder_->eibDropped());
     }
     if (cfg_.simProfile) {
         const auto &total = eq_->tagProfiles();

@@ -53,7 +53,6 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/task.hh"
-#include "trace/recorder.hh"
 
 namespace cellbw::stats
 {
@@ -118,16 +117,6 @@ class CellSystem
      * program exception.
      */
     void run();
-
-    /**
-     * Turn on event tracing: every MFC command and EIB packet from now
-     * on is recorded.  @return the recorder for timelines and traces;
-     * Recorder::setCapacity() bounds what it keeps.
-     */
-    trace::Recorder &enableTracing();
-
-    /** The recorder, or nullptr when tracing is off. */
-    trace::Recorder *recorder() { return recorder_.get(); }
 
     /**
      * Accumulate every component's utilization counters into @p reg
@@ -286,7 +275,6 @@ class CellSystem
     FlightArena flights_;
     std::vector<std::uint32_t> placement_;   // logical -> physical SPE
     std::vector<sim::Task> programs_;
-    std::unique_ptr<trace::Recorder> recorder_;
     VerifyStats verifyStats_;
 };
 

@@ -14,7 +14,7 @@
  *
  * On top of that lifecycle the context knows about suites and
  * the result cache: it computes the canonical cache key of its parsed
- * configuration, stamps suite/cache/backend metadata into the report,
+ * configuration, stamps cache/backend metadata into the report,
  * can run quietly (suite mode: JSON only, no stdout), and stores its
  * finished report into an attached core::ResultCache (sim backend
  * only — native measurements are never cached).
@@ -124,7 +124,12 @@ class ExperimentContext
     void setQuiet(bool quiet) { quiet_ = quiet; }
     bool quiet() const { return quiet_; }
 
-    /** Tag the report as one experiment of suite @p suiteId. */
+    /**
+     * Stamp `"suite": suiteId` into the report.  No `cellbw` command
+     * calls this: a stamped report cached under a key that does not
+     * name the suite would replay the stamp to `run`, `serve` and
+     * `validate`.
+     */
     void setSuite(const std::string &suiteId);
 
     /** finish() will store the rendered report under cacheKey(). */

@@ -1,6 +1,5 @@
 #include "core/json_report.hh"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "stats/json_writer.hh"
@@ -162,21 +161,6 @@ JsonReport::render() const
 
     w.endObject();
     return w.str();
-}
-
-bool
-JsonReport::writeFile(const std::string &path) const
-{
-    std::string doc = render();
-    doc += '\n';
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    bool ok = n == doc.size();
-    if (std::fclose(f) != 0)
-        ok = false;
-    return ok;
 }
 
 } // namespace cellbw::core

@@ -17,7 +17,8 @@
  *     "backend": "sim",                       // "sim" or "native"
  *     "reproducible": true,                   // false: measured, gate
  *                                             // with tolerances
- *     "suite": "ci",                          // only when part of one
+ *     "suite": "...",                         // only when a library
+ *                                             // caller sets one
  *     "cache": { "salt": "...", "key": "..." },  // only when computed
  *     "config": { "cpu-ghz": 2.1, "spes": 8, ... },
  *     "points": [ { "table": "results", "spes": 1, "GB/s": 9.8 }, ... ],
@@ -74,7 +75,7 @@ class JsonReport
     /** Registered experiment name; defaults to the bench name. */
     void setExperiment(std::string experiment);
 
-    /** Suite id when this report is one experiment of a suite run. */
+    /** Suite id to stamp into the document (none by default). */
     void setSuite(std::string suite);
 
     /**
@@ -103,9 +104,6 @@ class JsonReport
 
     /** Render the complete document. */
     std::string render() const;
-
-    /** Write render() to @p path; false (errno set) on I/O failure. */
-    bool writeFile(const std::string &path) const;
 
   private:
     struct Point

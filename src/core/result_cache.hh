@@ -54,7 +54,7 @@ class ResultCache
      * The code-version salt.  Bump the trailing integer with any
      * change that can alter experiment results or report bytes.
      */
-    static constexpr const char *kSalt = "cellbw-results-6";
+    static constexpr const char *kSalt = "cellbw-results-7";
 
     static const char *salt() { return kSalt; }
 

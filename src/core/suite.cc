@@ -100,9 +100,9 @@ struct EntryResult
 };
 
 void
-runEntry(const SuiteSpec &spec, const std::string &suiteId,
-         const ManifestEntry &entry, ResultCache &cache, WorkerPool &pool,
-         EntryResult &result, std::mutex &outMutex)
+runEntry(const SuiteSpec &spec, const ManifestEntry &entry,
+         ResultCache &cache, WorkerPool &pool, EntryResult &result,
+         std::mutex &outMutex)
 {
     const Experiment &e = *entry.experiment;
     result.name = e.name;
@@ -124,7 +124,6 @@ runEntry(const SuiteSpec &spec, const std::string &suiteId,
 
     ExperimentContext ctx(e.name, e.description, e.backend);
     ctx.setQuiet(true);
-    ctx.setSuite(suiteId);
     if (!ctx.parse(static_cast<int>(argv.size()), argv.data())) {
         result.error = "flag parse failed";
         return;
@@ -239,8 +238,8 @@ runSuite(const SuiteSpec &spec, SuiteOutcome *outcome)
     coordinators.reserve(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
         coordinators.emplace_back([&, i] {
-            runEntry(spec, suiteId, entries[i], cache, pool,
-                     results[i], outMutex);
+            runEntry(spec, entries[i], cache, pool, results[i],
+                     outMutex);
         });
     }
     for (auto &t : coordinators)

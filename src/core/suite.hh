@@ -24,10 +24,12 @@
  *    warm rerun of an unchanged suite therefore does no simulation at
  *    all and produces an identical output tree.
  *
- * Each experiment writes `<out>/<name>.json` (schema cellbw-bench-v2,
- * tagged with the suite id) and the suite writes a deterministic
- * `<out>/suite.json` index — no timestamps or hit/miss flags, so
- * output trees from cold and warm runs diff clean.
+ * Each experiment writes `<out>/<name>.json`, byte-identical to what
+ * `cellbw run <name> --json` writes for the same flags (the report
+ * does not name the suite, so the cache can replay it to `run`,
+ * `serve` and `validate` alike), and the suite writes a deterministic
+ * `<out>/suite.json` index that names it — no timestamps or hit/miss
+ * flags, so output trees from cold and warm runs diff clean.
  */
 
 #ifndef CELLBW_CORE_SUITE_HH

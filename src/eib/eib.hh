@@ -27,7 +27,6 @@
 #include "eib/ring.hh"
 #include "sim/clock.hh"
 #include "sim/sim_object.hh"
-#include "trace/recorder.hh"
 
 namespace cellbw::eib
 {
@@ -61,14 +60,6 @@ class Eib : public sim::SimObject
   public:
     Eib(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
         const EibParams &params);
-
-    /** Attach an event recorder; @p chip labels this bus's records. */
-    void
-    setRecorder(trace::Recorder *recorder, unsigned chip)
-    {
-        recorder_ = recorder;
-        chip_ = chip;
-    }
 
     /**
      * Move a data packet of @p bytes (<= 128 in normal operation) from
@@ -118,8 +109,6 @@ class Eib : public sim::SimObject
     std::vector<std::unique_ptr<Ring>> rings_;
     std::array<Tick, numRamps> txFreeAt_{};
     std::array<Tick, numRamps> rxFreeAt_{};
-    trace::Recorder *recorder_ = nullptr;
-    unsigned chip_ = 0;
     std::uint64_t bytesMoved_ = 0;
     std::uint64_t packets_ = 0;
     Tick contentionTicks_ = 0;

@@ -34,7 +34,6 @@ class Ring
   public:
     Ring(unsigned index, RingDir dir);
 
-    unsigned index() const { return index_; }
     RingDir direction() const { return dir_; }
 
     /** Hop count from src to dst along this ring's direction. */

@@ -75,7 +75,7 @@ DramBank::reserveAccess(EffAddr ea, std::uint32_t bytes,
 {
     // Reads and writes currently share the same completion latency
     // (the requester needs the controller's ack either way); the
-    // parameter is kept for configurability and tracing.
+    // parameter is kept for configurability.
     auto service =
         static_cast<Tick>(std::ceil(bytes / params_.bytesPerTick));
     if (service == 0)

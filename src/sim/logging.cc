@@ -1,6 +1,5 @@
 #include "sim/logging.hh"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -10,11 +9,6 @@ namespace cellbw::sim
 
 namespace
 {
-
-// Atomic so parallel seed-sweep workers can read the level while the
-// main thread owns it (ThreadSanitizer-clean); relaxed is enough, the
-// level is advisory.
-std::atomic<LogLevel> g_level{LogLevel::Warn};
 
 std::string
 vformat(const char *fmt, va_list ap)
@@ -35,18 +29,6 @@ vformat(const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list ap;
@@ -65,42 +47,6 @@ fatal(const char *fmt, ...)
     std::string msg = vformat(fmt, ap);
     va_end(ap);
     throw FatalError(msg);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Warn)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Info)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 } // namespace cellbw::sim

@@ -73,8 +73,6 @@ Mfc::recordFault(DmaDir dir, bool isList, LsAddr lsa,
                  std::vector<ListElement> segs, unsigned tag,
                  MfcError code)
 {
-    sim::debugLog("%s: MFC fault on tag %u: %s", name().c_str(), tag,
-                  toString(code));
     faultLog_.push_back({tag, dir, isList, lsa, std::move(segs), code,
                          curTick()});
     ++commandsFaulted_;
@@ -108,9 +106,6 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
     c->isList = isList;
     c->lsaStart = lsa;
     c->lsaCursor = lsa;
-    c->enqueuedAt = curTick();
-    for (const auto &seg : segs)
-        c->totalBytes += seg.size;
     c->segs = std::move(segs);
     if (faultsEnabled_) {
         const auto &f = params_.faults;
@@ -220,7 +215,6 @@ Mfc::scheduleIssue()
 void
 Mfc::finishIssue(Command *c)
 {
-    c->issuedAt = curTick();
     issueInProgress_ = false;
     if (c->injected == MfcError::Dropped) {
         // The command occupied the issue engine but its lines are lost:
@@ -344,11 +338,6 @@ Mfc::finalizeCompletion(Command *c)
     if (c->injected != MfcError::None) {
         recordFault(c->dir, c->isList, c->lsaStart, c->segs.toVector(),
                     c->tag, c->injected);
-    }
-    if (recorder_) {
-        recorder_->dma({c->enqueuedAt, c->issuedAt, curTick(),
-                        speIndex_, c->dir, c->tag, c->totalBytes,
-                        c->isList, c->injected});
     }
     if (completionHook_) {
         completionHook_({speIndex_, c->tag, c->dir, c->isList,

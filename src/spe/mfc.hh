@@ -37,7 +37,6 @@
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "spe/dma_types.hh"
-#include "trace/recorder.hh"
 
 namespace cellbw::stats
 {
@@ -118,9 +117,6 @@ class Mfc : public sim::SimObject
 
     /** Install the system-level router for line requests. */
     void setLineHandler(LineHandler handler) { handler_ = std::move(handler); }
-
-    /** Attach an event recorder (nullptr disables tracing). */
-    void setRecorder(trace::Recorder *recorder) { recorder_ = recorder; }
 
     /** @name Command issue (mirrors mfc_get / mfc_put / mfc_getl /
      *        mfc_putl).  fatal()s when the queue is full: await
@@ -317,9 +313,6 @@ class Mfc : public sim::SimObject
         std::uint32_t segOffset = 0;
         unsigned linesOutstanding = 0;
         bool allLinesIssued = false;
-        Tick enqueuedAt = 0;
-        Tick issuedAt = 0;
-        std::uint32_t totalBytes = 0;
         /** Injected fate, drawn at enqueue (None = clean command). */
         MfcError injected = MfcError::None;
         /** Extra completion latency for an injected delay. */
@@ -348,7 +341,6 @@ class Mfc : public sim::SimObject
     MfcParams params_;
     unsigned speIndex_;
     LineHandler handler_;
-    trace::Recorder *recorder_ = nullptr;
 
     /**
      * Command storage: a fixed arena of queueDepth slots, allocated at

@@ -2,12 +2,12 @@
  * @file
  * A small hand-rolled JSON writer.
  *
- * The bench experiments emit machine-readable results (--json) and the
- * trace recorder emits Chrome-trace files; both need strictly valid
- * JSON without pulling in an external dependency.  JsonWriter is a
- * push-style serializer: begin/end objects and arrays, write keys and
- * typed values, and it takes care of commas, escaping, and number
- * formatting.
+ * The experiments emit machine-readable results (--json), and the
+ * driver and `serve` emit suite and validate summaries and HTTP
+ * bodies; all need strictly valid JSON without pulling in an external
+ * dependency.  JsonWriter is a push-style serializer: begin/end
+ * objects and arrays, write keys and typed values, and it takes care
+ * of commas, escaping, and number formatting.
  *
  * @code
  *   stats::JsonWriter w;

@@ -1,7 +1,8 @@
 # Holds every experiment to its committed quick baseline at zero
 # tolerance: one live `cellbw suite ci --quick` run (no result cache),
 # then `cellbw compare --tol 0 --metrics` against each
-# baselines/<experiment>.quick.json.  No point and no metric may move.
+# baselines/<experiment>.quick.json.  No point and no metric may move,
+# and each report must then equal its baseline byte for byte.
 #
 # Usage:
 #   cmake -DCELLBW=<cellbw> -DBASELINES=<baselines dir>
@@ -48,10 +49,21 @@ foreach(base ${baselines})
     if(NOT cmp_rc EQUAL 0)
         list(APPEND drifted "${name}")
         message("${name} drifted from ${file}:\n${cmp}${cmp_err}")
+        continue()
+    endif()
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                "reports/${name}.json" "${base}"
+        WORKING_DIRECTORY "${WORKDIR}"
+        RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        list(APPEND drifted "${name}")
+        message("${name} matches ${file} at --tol 0 but its bytes "
+                "differ")
     endif()
 endforeach()
 
 if(drifted)
     message(FATAL_ERROR "reports differ from their baselines: ${drifted}")
 endif()
-message(STATUS "${count} reports match their baselines at --tol 0")
+message(STATUS "${count} reports match their baselines byte for byte")

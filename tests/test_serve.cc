@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include "core/experiment_registry.hh"
+#include "core/suite.hh"
 #include "serve/coalescer.hh"
 #include "serve/connection.hh"
 #include "serve/server.hh"
@@ -367,6 +368,8 @@ class ServerFixture
     }
 
     serve::Server &server() { return *server_; }
+    /** Scratch directory; the server's result cache is root()/cache. */
+    const std::string &root() const { return root_; }
     std::uint16_t port() const { return server_->port(); }
     bool started() const { return started_; }
 
@@ -438,6 +441,33 @@ TEST(Serve, RunIsByteIdenticalToCli)
     ASSERT_EQ(warm.status, 200);
     EXPECT_EQ(warm.headers["x-cellbw-cache"], "hit");
     EXPECT_EQ(warm.body, want);
+}
+
+TEST(Serve, HitOnASuiteFilledCacheIsByteIdenticalToCli)
+{
+    // `cellbw suite` and `serve` share cache entries, so an entry the
+    // suite stored must replay exactly what `cellbw run` writes: a
+    // report that named its suite would differ here.
+    ServerFixture fx("suitefill");
+    ASSERT_TRUE(fx.started());
+    core::SuiteSpec spec;
+    spec.manifest = fx.root() + "/fill.manifest";
+    spec.outDir = fx.root() + "/suite-out";
+    spec.cacheDir = fx.root() + "/cache";
+    spec.jobs = 1;
+    spec.terse = true;
+    ASSERT_TRUE(util::writeFileAtomic(spec.manifest,
+                                      "serve_test_exp --seed 11\n"));
+    core::SuiteOutcome outcome;
+    ASSERT_EQ(core::runSuite(spec, &outcome), 0);
+    ASSERT_EQ(outcome.ran, 1u);
+
+    auto hit = post(fx.port(), "/run",
+                    "{\"experiment\":\"serve_test_exp\","
+                    "\"args\":[\"--seed\",\"11\"]}");
+    ASSERT_EQ(hit.status, 200);
+    EXPECT_EQ(hit.headers["x-cellbw-cache"], "hit");
+    EXPECT_EQ(hit.body, cliReportBytes("serve_test_exp", {"--seed", "11"}));
 }
 
 TEST(Serve, ConcurrentIdenticalRequestsCoalesceToOneRun)

@@ -121,11 +121,3 @@ TEST(Logging, FatalThrowsFatalError)
         EXPECT_STREQ(e.what(), "value=7");
     }
 }
-
-TEST(Logging, LevelRoundTrips)
-{
-    auto old = sim::logLevel();
-    sim::setLogLevel(sim::LogLevel::Debug);
-    EXPECT_EQ(sim::logLevel(), sim::LogLevel::Debug);
-    sim::setLogLevel(old);
-}
